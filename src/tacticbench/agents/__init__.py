@@ -2,15 +2,11 @@
 chain-of-thought baseline, event-log compaction, and chat clients."""
 from .causal import CausalGraph, CausalParseError, CausalRelation, parse_relation_line
 from .client import (
-    API_KEY_ENV,
-    CallRecord,
     ChatCompletionRequest,
-    ChatCompletionResponse,
     ChatMessage,
     HttpChatClient,
     MockChatClient,
     TransportError,
-    llm_call,
 )
 from .cot import CoTTeamSystem, cot_baseline
 from .dedup import dedup_events
@@ -18,71 +14,19 @@ from .mock import default_mock_responder, make_mock_client
 from .tacticrafter import (
     FALLBACK_TACTICS_LINE,
     MAX_TACTICS_LINES,
-    WAIT_LOOP_SOURCE,
     Checkpoint,
-    Critique,
-    TagParseError,
-    ensure_primitive_coverage,
-    extract_tagged,
-    opponent_chat_lines,
-    render_events,
-    GameDescription,
-    History,
     OpponentTactics,
     PromptTemplates,
     Tactics,
     TactiCrafterSystem,
-    causal_init,
-    causal_update,
+    TagParseError,
     checkpoint_load,
     checkpoint_save,
-    opponent_update,
+    compile_program,
+    ensure_primitive_coverage,
+    extract_tagged,
+    opponent_chat_lines,
+    render_events,
     select_longest_log,
     tactics_init,
-    tactics_update,
 )
-
-__all__ = [
-    "CausalGraph",
-    "CausalParseError",
-    "CausalRelation",
-    "parse_relation_line",
-    "API_KEY_ENV",
-    "CallRecord",
-    "ChatCompletionRequest",
-    "ChatCompletionResponse",
-    "ChatMessage",
-    "HttpChatClient",
-    "MockChatClient",
-    "TransportError",
-    "llm_call",
-    "CoTTeamSystem",
-    "cot_baseline",
-    "dedup_events",
-    "default_mock_responder",
-    "make_mock_client",
-    "FALLBACK_TACTICS_LINE",
-    "MAX_TACTICS_LINES",
-    "WAIT_LOOP_SOURCE",
-    "Checkpoint",
-    "Critique",
-    "TagParseError",
-    "ensure_primitive_coverage",
-    "extract_tagged",
-    "opponent_chat_lines",
-    "render_events",
-    "GameDescription",
-    "History",
-    "OpponentTactics",
-    "PromptTemplates",
-    "Tactics",
-    "TactiCrafterSystem",
-    "causal_init",
-    "causal_update",
-    "checkpoint_load",
-    "checkpoint_save",
-    "opponent_update",
-    "select_longest_log",
-    "tactics_init",
-    "tactics_update",
-]

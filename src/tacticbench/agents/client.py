@@ -62,11 +62,6 @@ class ChatClient(Protocol):
     def chat(self, request: ChatCompletionRequest) -> ChatCompletionResponse: ...
 
 
-def llm_call(client: "ChatClient", request: ChatCompletionRequest) -> ChatCompletionResponse:
-    """One recorded model call; the client appends the (T_resp, N_out) record."""
-    return client.chat(request)
-
-
 def _token_estimate(text: str) -> int:
     return max(1, len(text.split())) if text else 0
 
@@ -108,6 +103,17 @@ class TransportError(RuntimeError):
     pass
 
 
+def _retryable(exc: Exception) -> bool:
+    """Whether a later attempt may succeed: connection errors, timeouts, 429
+    and 5xx responses.  Other HTTP errors are the request's own fault."""
+    if isinstance(exc, (requests.ConnectionError, requests.Timeout, ConnectionError, TimeoutError)):
+        return True
+    if isinstance(exc, requests.HTTPError) and exc.response is not None:
+        status = exc.response.status_code
+        return status == 429 or status >= 500
+    return False
+
+
 def _default_transport(url: str, payload: dict, headers: dict, timeout: float) -> dict:
     resp = requests.post(url, json=payload, headers=headers, timeout=timeout)
     resp.raise_for_status()
@@ -115,7 +121,7 @@ def _default_transport(url: str, payload: dict, headers: dict, timeout: float) -
 
 
 class HttpChatClient:
-    """Chat-completions HTTP client with bounded retry.
+    """Chat-completions HTTP client with bounded retry of transient failures.
 
     The API key comes from ``api_key`` or the TACTICBENCH_API_KEY environment
     variable.  ``transport`` is injectable for tests; it gets (url, payload,
@@ -151,20 +157,24 @@ class HttpChatClient:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        last_error: Optional[Exception] = None
         for attempt in range(self.MAX_RETRIES + 1):
             start = time.perf_counter()
             try:
                 body = self.transport(url, payload, headers, self.timeout)
-                latency = time.perf_counter() - start
+            except Exception as exc:
+                if attempt == self.MAX_RETRIES or not _retryable(exc):
+                    raise TransportError(
+                        f"chat completion failed after {attempt + 1} attempt(s): {exc}"
+                    ) from exc
+                self.sleep(2.0**attempt)
+                continue
+            latency = time.perf_counter() - start
+            try:
                 text = body["choices"][0]["message"]["content"]
                 usage = body.get("usage", {})
                 n_out = int(usage.get("completion_tokens", 0)) or _token_estimate(text)
-                prompt = "\n".join(m.content for m in request.messages)
-                self.calls.append(CallRecord(request.purpose, latency, n_out, prompt, text))
-                return ChatCompletionResponse(text=text, token_count=n_out, latency=latency)
-            except Exception as exc:
-                last_error = exc
-                if attempt < self.MAX_RETRIES:
-                    self.sleep(2.0**attempt)
-        raise TransportError(f"chat completion failed after retries: {last_error}") from last_error
+            except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+                raise TransportError(f"malformed chat completion body: {exc!r}") from exc
+            prompt = "\n".join(m.content for m in request.messages)
+            self.calls.append(CallRecord(request.purpose, latency, n_out, prompt, text))
+            return ChatCompletionResponse(text=text, token_count=n_out, latency=latency)

@@ -6,10 +6,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..actionlang import ActionProgram, ParseError, parse_source, pretty_print, validate
-from ..systems import AgentView, ExecOutcome, Request, ScenarioMetadata, ScriptDriver
+from ..actionlang import ActionProgram, pretty_print
+# bound here for perfbench/layers.py, which traces them by module
+from ..actionlang import parse_source, validate  # noqa: F401
+from ..systems import AgentView, Request, ScenarioMetadata, ScriptDriver, ScriptTeam
 from ..world import Event
-from .client import ChatClient, ChatCompletionRequest, ChatMessage, llm_call
+from .client import ChatClient
 from .tacticrafter import (
     OBJECTIVES,
     PROGRAM_CLOSE,
@@ -17,9 +19,12 @@ from .tacticrafter import (
     WAIT_LOOP_SOURCE,
     PromptTemplates,
     TagParseError,
+    _chat,
+    compile_program,
     extract_tagged,
     render_constants,
     render_events,
+    select_longest_log,
 )
 
 
@@ -27,7 +32,7 @@ from .tacticrafter import (
 class _EpisodeMemory:
     programs: str = ""
     error: str = ""
-    events: list[Event] = field(default_factory=list)
+    logs: dict[str, list[Event]] = field(default_factory=dict)  # per agent
 
 
 def cot_baseline(
@@ -40,46 +45,26 @@ def cot_baseline(
 ) -> list[Optional[ActionProgram]]:
     """One model call; returns a program per agent, None where parsing or
     validation failed (that agent falls back to a wait loop)."""
-    request = ChatCompletionRequest(
-        messages=[ChatMessage("user", prompt)], temperature=temperature, purpose="cot"
-    )
-    resp = llm_call(client, request)
+    resp = _chat(client, "cot", prompt, temperature)
     try:
         blocks = extract_tagged(resp.text, PROGRAM_OPEN, PROGRAM_CLOSE)
     except TagParseError:
         blocks = []
-    programs: list[Optional[ActionProgram]] = []
-    for i in range(agent_count):
-        if i >= len(blocks):
-            programs.append(None)
-            continue
-        try:
-            program = parse_source(blocks[i])
-        except ParseError:
-            programs.append(None)
-            continue
-        programs.append(None if validate(program, table) else program)
-    return programs
+    programs = [compile_program(block, table) for block in blocks[:agent_count]]
+    return programs + [None] * (agent_count - len(programs))
 
 
-class CoTTeamSystem:
+class CoTTeamSystem(ScriptTeam):
     """Single-prompt baseline team system; persists last-episode history."""
 
     def __init__(self, client: ChatClient, temperature: float = 0.3) -> None:
+        super().__init__()
         self.client = client
         self.temperature = temperature
         self.templates = PromptTemplates()
-        self.episode_counter = 0
-        self._drivers: dict[str, ScriptDriver] = {}
-        self._failed: set[str] = set()
         self._memory = _EpisodeMemory()
-        self._team = ""
-        self._meta: Optional[ScenarioMetadata] = None
 
     def pre_game(self, metadata: ScenarioMetadata, team_id: str, initial_obs) -> None:
-        self._meta = metadata
-        self._team = team_id
-        self.episode_counter += 1
         agents = metadata.teams[team_id]
         surroundings = []
         for name in agents:
@@ -90,15 +75,14 @@ class CoTTeamSystem:
             kinds = sorted({k for k, _ in obs.nearby_blocks})
             mobs = sorted({k for k, _ in obs.nearby_mobs})
             surroundings.append(f"{name}: blocks={kinds} entities={mobs}")
-        history = (
-            "(first episode)"
-            if not self._memory.programs
-            else (
+        history = "(first episode)"
+        if self._memory.programs:
+            chat = select_longest_log(list(self._memory.logs.values()))
+            history = (
                 f"Previous code:\n{self._memory.programs}\n"
                 f"Execution error: {self._memory.error or '(none)'}\n"
-                f"Chat log:\n{render_events(self._memory.events)}"
+                f"Chat log:\n{render_events(chat)}"
             )
-        )
         prompt = self.templates.fill(
             "p_h",
             team_name=team_id,
@@ -114,24 +98,24 @@ class CoTTeamSystem:
             self.client, self.templates, prompt, len(agents), metadata.primitive_table,
             self.temperature,
         )
-        self._drivers = {}
-        self._failed = set()
+        self.drivers = {}
         texts = []
         for name, program in zip(agents, programs):
             driver = ScriptDriver()
             if program is None:
                 driver.load_source(WAIT_LOOP_SOURCE)
-                self._failed.add(name)
                 texts.append(WAIT_LOOP_SOURCE)
             else:
                 driver.load(program)
                 texts.append(pretty_print(program))
-            self._drivers[name] = driver
-        self._memory = _EpisodeMemory(programs="\n\n".join(texts))
+            self.drivers[name] = driver
+        self._memory = _EpisodeMemory(
+            programs="\n\n".join(texts), logs={name: [] for name in agents}
+        )
 
     def next_request(self, agent_name: str, view: AgentView) -> Optional[Request]:
-        self._memory.events.extend(view.new_events)
-        driver = self._drivers[agent_name]
+        self._memory.logs[agent_name].extend(view.new_events)
+        driver = self.drivers[agent_name]
         req = driver.next_request(view)
         if req is not None:
             return req
@@ -140,9 +124,3 @@ class CoTTeamSystem:
             self._memory.error = driver.error_message or ""
         driver.load_source(WAIT_LOOP_SOURCE)
         return driver.next_request(view)
-
-    def on_result(self, agent_name: str, outcome: ExecOutcome) -> None:
-        self._drivers[agent_name].report(outcome)
-
-    def post_game(self, score) -> None:
-        pass

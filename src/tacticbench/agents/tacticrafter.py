@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional
 
-from ..actionlang import ActionProgram, ParseError, parse_source, pretty_print, validate
-from ..systems import AgentView, ExecOutcome, Request, ScenarioMetadata, ScriptDriver
+from ..actionlang import ActionProgram, ParseError, parse_source, validate
+from ..systems import AgentView, Request, ScenarioMetadata, ScriptDriver, ScriptTeam
 from ..world import TICKS_PER_SECOND, Event
 from .causal import CausalGraph, CausalRelation
-from .client import ChatClient, ChatCompletionRequest, ChatMessage, llm_call
+from .client import ChatClient, ChatCompletionRequest, ChatMessage
 from .dedup import dedup_events
 
 log = logging.getLogger(__name__)
@@ -54,6 +54,16 @@ def extract_tagged(text: str, open_tag: str, close_tag: str) -> list[str]:
     if not blocks:
         raise TagParseError(f"no {open_tag}...{close_tag} block in response")
     return blocks
+
+
+def compile_program(source: str, table) -> Optional[ActionProgram]:
+    """Model-written ActScript as a program ready to run, or None when it
+    does not parse or fails validation against ``table``."""
+    try:
+        program = parse_source(source)
+    except ParseError:
+        return None
+    return None if validate(program, table) else program
 
 
 # -- artifacts ---------------------------------------------------------------
@@ -121,9 +131,6 @@ class GameDescription:
 class History:
     events: list[Event] = field(default_factory=list)
     previous_tactics: Optional[Tactics] = None
-    previous_opponent_tactics: Optional[OpponentTactics] = None
-    previous_program: str = ""
-    previous_error: str = ""
 
 
 # -- prompt templates --------------------------------------------------------
@@ -207,7 +214,7 @@ def _chat(client: ChatClient, purpose: str, prompt: str, temperature: float):
     request = ChatCompletionRequest(
         messages=[ChatMessage("user", prompt)], temperature=temperature, purpose=purpose
     )
-    return llm_call(client, request)
+    return client.chat(request)
 
 
 def tactics_init(
@@ -443,15 +450,15 @@ class _BaseAgent:
         self.parse_failures = 0
         self.benched = False
         self.critique = Critique("")
-        self.program_text = ""
         self.events: list[Event] = []
         self.last_error = ""
 
 
-class TactiCrafterSystem:
+class TactiCrafterSystem(ScriptTeam):
     """Persistent team system wrapping the full agent pipeline."""
 
     def __init__(self, client: ChatClient, temperature: float = 0.3) -> None:
+        super().__init__()
         self.client = client
         self.temperature = temperature
         self.templates = PromptTemplates()
@@ -516,6 +523,7 @@ class TactiCrafterSystem:
         self._agents = {
             name: _BaseAgent(name, i) for i, name in enumerate(metadata.teams[team_id])
         }
+        self.drivers = {name: agent.driver for name, agent in self._agents.items()}
         # first roll-out iteration happens pre-game: no latency cost in-sim
         for agent in self._agents.values():
             self._generate_program(agent, charge_latency=False)
@@ -546,33 +554,20 @@ class TactiCrafterSystem:
             latency = resp.latency
             try:
                 source = extract_tagged(resp.text, PROGRAM_OPEN, PROGRAM_CLOSE)[0]
-                candidate = parse_source(source)
-            except (TagParseError, ParseError):
-                agent.parse_failures += 1
-                if agent.parse_failures >= MAX_PARSE_FAILURES:
-                    break
-                continue
-            issues = validate(candidate, self._meta.primitive_table)
-            if issues:
-                agent.parse_failures += 1
-                if agent.parse_failures >= MAX_PARSE_FAILURES:
-                    break
-                continue
-            program = candidate
-            agent.parse_failures = 0
-            break
-        if program is None:
+                program = compile_program(source, self._meta.primitive_table)
+            except TagParseError:
+                pass
+            if program is not None:
+                agent.parse_failures = 0
+                break
+            agent.parse_failures += 1
             if agent.parse_failures >= MAX_PARSE_FAILURES:
-                agent.benched = True
-                source = WAIT_LOOP_SOURCE
-            else:
-                # finite pause, so the failure count can keep accumulating
-                # across retries until the bench threshold is reached
-                source = "wait(100)"
-            program = parse_source(source)
-            agent.program_text = source
-        else:
-            agent.program_text = pretty_print(program)
+                break
+        if program is None:
+            agent.benched = agent.parse_failures >= MAX_PARSE_FAILURES
+            # a finite pause until benched, so the failure count can keep
+            # accumulating across retries until the bench threshold is reached
+            program = parse_source(WAIT_LOOP_SOURCE if agent.benched else "wait(100)")
         agent.driver.load(program)
         agent.iterations += 1
         if charge_latency:
@@ -620,18 +615,7 @@ class TactiCrafterSystem:
         self._generate_program(agent, charge_latency=True)
         return agent.driver.next_request(view)
 
-    def on_result(self, agent_name: str, outcome: ExecOutcome) -> None:
-        self._agents[agent_name].driver.report(outcome)
-
     def post_game(self, score) -> None:
         logs = [self._agents[n].events for n in self._meta.teams[self._team]]
         self.iteration_counts = {n: self._agents[n].iterations for n in self._agents}
-        self._last_history = History(
-            events=select_longest_log(logs),
-            previous_tactics=self.tactics,
-            previous_opponent_tactics=self.opponent_tactics,
-            previous_program="\n\n".join(a.program_text for a in self._agents.values()),
-            previous_error="; ".join(
-                a.last_error for a in self._agents.values() if a.last_error
-            ),
-        )
+        self._last_history = History(events=select_longest_log(logs), previous_tactics=self.tactics)

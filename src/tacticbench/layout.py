@@ -12,7 +12,7 @@ from typing import Any
 
 import yaml
 
-from .world import BlockCell, Layout, LayoutError, Position, validate_layout
+from .world import BlockCell, Layout, LayoutError, Position, area_of, validate_layout
 
 SCHEMA_VERSION = 1
 
@@ -66,7 +66,7 @@ def layout_from_dict(doc: dict[str, Any]) -> Layout:
         for (x, z) in coords:
             if (x, z) in cells:
                 raise LayoutError(f"overlapping cells at ({x}, {z})")
-            owner = _area_of(areas, x, z)
+            owner = area_of(areas, x, z)
             cells[(x, z)] = BlockCell(kind=kind, growth_stage=stage, owner_area=owner, plot=plot)
 
     agent_starts = [
@@ -89,11 +89,11 @@ def layout_from_dict(doc: dict[str, Any]) -> Layout:
     for (x, z) in containers:
         if (x, z) in cells:
             raise LayoutError(f"container overlaps cell at ({x}, {z})")
-        cells[(x, z)] = BlockCell(kind="chest", owner_area=_area_of(areas, x, z))
+        cells[(x, z)] = BlockCell(kind="chest", owner_area=area_of(areas, x, z))
     for p in furnaces:
         if (p.x, p.z) in cells:
             raise LayoutError(f"furnace overlaps cell at ({p.x}, {p.z})")
-        cells[(p.x, p.z)] = BlockCell(kind="furnace", owner_area=_area_of(areas, p.x, p.z))
+        cells[(p.x, p.z)] = BlockCell(kind="furnace", owner_area=area_of(areas, p.x, p.z))
 
     layout = Layout(
         name=doc["name"],
@@ -109,13 +109,6 @@ def layout_from_dict(doc: dict[str, Any]) -> Layout:
     )
     validate_layout(layout)
     return layout
-
-
-def _area_of(areas: dict[str, tuple[int, int, int, int]], x: int, z: int) -> str:
-    for team, (x0, z0, x1, z1) in areas.items():
-        if x0 <= x <= x1 and z0 <= z <= z1:
-            return team
-    return "neutral"
 
 
 def load_layout_text(text: str) -> Layout:

@@ -21,7 +21,7 @@ from .actionlang import (
     validate,
 )
 from .scenarios import CROPS, DASH_AND_DINE, MUSHROOM_WAR
-from .systems import AgentView, ExecOutcome, Request, ScenarioMetadata, ScriptDriver
+from .systems import AgentView, Request, ScenarioMetadata, ScriptDriver, ScriptTeam
 from .world import Layout, Observation
 
 FALLBACK_RETRY_TICKS = 40  # min delay before retrying an errored primary
@@ -251,10 +251,11 @@ class _AgentPolicy:
         return None
 
 
-class BuiltinTeamSystem:
+class BuiltinTeamSystem(ScriptTeam):
     """Drives a scripted opponent for one team; persists across episodes."""
 
     def __init__(self, spec: OpponentSpec) -> None:
+        super().__init__()
         self.spec = spec
         self._policies: dict[str, _AgentPolicy] = {}
 
@@ -269,15 +270,10 @@ class BuiltinTeamSystem:
             agent: _AgentPolicy(self.spec.scripts[min(i, len(self.spec.scripts) - 1)], constants)
             for i, agent in enumerate(agents)
         }
+        self.drivers = {agent: policy.driver for agent, policy in self._policies.items()}
 
     def next_request(self, agent_name: str, view: AgentView) -> Optional[Request]:
         return self._policies[agent_name].next_request(view)
-
-    def on_result(self, agent_name: str, outcome: ExecOutcome) -> None:
-        self._policies[agent_name].driver.report(outcome)
-
-    def post_game(self, score) -> None:
-        pass
 
 
 # -- random baseline ----------------------------------------------------------
@@ -387,21 +383,21 @@ def _random_args(rng: Random, name: str, pools: dict[str, list], at: tuple[int, 
     return None
 
 
-class RandomTeamSystem:
+class RandomTeamSystem(ScriptTeam):
     """Baseline that emits one random validated call at a time per agent."""
 
     def __init__(self, seed: int = 0) -> None:
+        super().__init__()
         self.seed = seed
         self._rng = Random(seed)
-        self._drivers: dict[str, ScriptDriver] = {}
         self._metadata: Optional[ScenarioMetadata] = None
 
     def pre_game(self, metadata: ScenarioMetadata, team_id: str, initial_obs) -> None:
         self._metadata = metadata
-        self._drivers = {name: ScriptDriver() for name in metadata.teams[team_id]}
+        self.drivers = {name: ScriptDriver() for name in metadata.teams[team_id]}
 
     def next_request(self, agent_name: str, view: AgentView) -> Optional[Request]:
-        driver = self._drivers[agent_name]
+        driver = self.drivers[agent_name]
         req = driver.next_request(view)
         if req is not None:
             return req
@@ -411,9 +407,3 @@ class RandomTeamSystem:
         else:
             driver.load(ActionProgram([call]))
         return driver.next_request(view)
-
-    def on_result(self, agent_name: str, outcome: ExecOutcome) -> None:
-        self._drivers[agent_name].report(outcome)
-
-    def post_game(self, score) -> None:
-        pass

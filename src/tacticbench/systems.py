@@ -96,8 +96,12 @@ class TeamSystem(Protocol):
 
 
 class ScriptDriver:
-    """Runs one agent's ActScript programs; asks a supplier for the next
-    program when the current one finishes or errors."""
+    """Runs one agent's loaded ActScript program one request at a time.
+
+    ``next_request`` returns None once the program has finished or errored;
+    the owning team system then loads the next program.  Idle ticks charged
+    with ``charge_idle`` are served as one wait before the program resumes.
+    """
 
     def __init__(self) -> None:
         self.exec: Optional[ExecState] = None
@@ -135,24 +139,16 @@ class ScriptDriver:
             self.pending_idle += ticks
 
 
-class WaitLoopSystem:
-    """Minimal do-nothing system: every agent loops a 20-tick wait."""
+class ScriptTeam:
+    """Base of the team systems that run each agent through a
+    ``ScriptDriver``: outcomes go to the agent's driver, and the game ends
+    with nothing to learn unless a subclass overrides ``post_game``."""
 
     def __init__(self) -> None:
-        self._drivers: dict[str, ScriptDriver] = {}
+        self.drivers: dict[str, ScriptDriver] = {}
 
-    def pre_game(self, metadata, team_id, initial_obs) -> None:
-        self._drivers = {}
-        for name in metadata.teams[team_id]:
-            d = ScriptDriver()
-            d.load_source("loop { wait(20) }")
-            self._drivers[name] = d
+    def on_result(self, agent_name: str, outcome: ExecOutcome) -> None:
+        self.drivers[agent_name].report(outcome)
 
-    def next_request(self, agent_name, view):
-        return self._drivers[agent_name].next_request(view)
-
-    def on_result(self, agent_name, outcome) -> None:
-        self._drivers[agent_name].report(outcome)
-
-    def post_game(self, score) -> None:
+    def post_game(self, score: EpisodeScore) -> None:
         pass

@@ -15,7 +15,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from random import Random
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
 TICKS_PER_SECOND = 20
 DEFAULT_EPISODE_TICKS = 2400
@@ -43,9 +43,6 @@ class Position:
 
     def chebyshev(self, other: "Position") -> int:
         return max(abs(self.x - other.x), abs(self.y - other.y), abs(self.z - other.z))
-
-    def offset(self, dx: int, dz: int) -> "Position":
-        return Position(self.x + dx, self.y, self.z + dz)
 
 
 @dataclass
@@ -169,7 +166,6 @@ def _freeze(value: Any) -> Any:
 class Observation:
     nearby_blocks: list[tuple[str, Position]]
     nearby_mobs: list[tuple[str, float]]
-    chest_contents: dict[tuple[int, int], dict[str, int]]
     inventory: Inventory
     self_status: dict[str, Any]
 
@@ -180,6 +176,14 @@ class Furnace:
     # tick at which the last queued item finishes; new items start after it
     busy_until: int = 0
     queued: int = 0
+
+
+def area_of(areas: dict[str, tuple[int, int, int, int]], x: int, z: int) -> str:
+    """The team whose (inclusive) area rectangle holds (x, z), else neutral."""
+    for team, (x0, z0, x1, z1) in areas.items():
+        if x0 <= x <= x1 and z0 <= z <= z1:
+            return team
+    return NEUTRAL
 
 
 @dataclass
@@ -253,16 +257,7 @@ class WorldState:
         return self.cells.get((x, z))
 
     def area_of(self, x: int, z: int) -> str:
-        for team, (x0, z0, x1, z1) in self.layout.areas.items():
-            if x0 <= x <= x1 and z0 <= z <= z1:
-                return team
-        return NEUTRAL
-
-    def cells_in_area(self, team: str) -> Iterable[tuple[tuple[int, int], BlockCell]]:
-        x0, z0, x1, z1 = self.layout.areas[team]
-        for (x, z), cell in self.cells.items():
-            if x0 <= x <= x1 and z0 <= z <= z1:
-                yield (x, z), cell
+        return area_of(self.layout.areas, x, z)
 
     # -- chat -----------------------------------------------------------
 
@@ -393,7 +388,6 @@ class WorldState:
         return Observation(
             nearby_blocks=blocks,
             nearby_mobs=mobs,
-            chest_contents={},
             inventory=agent.inventory.copy(),
             self_status=status,
         )

@@ -5,9 +5,11 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tacticbench.actionlang import parse_source
 from tacticbench.agents import (
     CausalGraph,
     CausalParseError,
@@ -28,6 +30,7 @@ from tacticbench.agents import (
     TransportError,
     checkpoint_load,
     checkpoint_save,
+    compile_program,
     cot_baseline,
     dedup_events,
     default_mock_responder,
@@ -327,6 +330,48 @@ def test_http_client_gives_up_after_retries():
     assert client.calls == []
 
 
+def _http_error(status: int) -> requests.HTTPError:
+    response = requests.Response()
+    response.status_code = status
+    return requests.HTTPError(f"{status} error", response=response)
+
+
+@pytest.mark.parametrize(
+    "status, attempts_made",
+    [(400, 1), (401, 1), (429, 1 + HttpChatClient.MAX_RETRIES), (503, 1 + HttpChatClient.MAX_RETRIES)],
+)
+def test_http_client_retries_only_transient_statuses(status, attempts_made):
+    attempts = []
+
+    def transport(url, payload, headers, timeout):
+        attempts.append(1)
+        raise _http_error(status)
+
+    client = HttpChatClient(
+        "http://x", "m", api_key="", transport=transport, sleep=lambda s: None
+    )
+    with pytest.raises(TransportError):
+        client.chat(ChatCompletionRequest([ChatMessage("user", "q")]))
+    assert len(attempts) == attempts_made
+
+
+@pytest.mark.parametrize("body", [{}, {"choices": []}, {"choices": [{"text": "hi"}]}])
+def test_http_client_does_not_retry_malformed_bodies(body):
+    attempts = []
+
+    def transport(url, payload, headers, timeout):
+        attempts.append(1)
+        return body
+
+    client = HttpChatClient(
+        "http://x", "m", api_key="", transport=transport, sleep=lambda s: None
+    )
+    with pytest.raises(TransportError):
+        client.chat(ChatCompletionRequest([ChatMessage("user", "q")]))
+    assert len(attempts) == 1
+    assert client.calls == []
+
+
 # -- checkpoints ----------------------------------------------------------------------
 
 
@@ -352,6 +397,23 @@ def test_checkpoint_version_mismatch_rejected():
 
 
 # -- pipeline odds and ends -------------------------------------------------------------
+
+
+def test_compile_program_returns_the_parsed_program():
+    table = get_scenario("mushroom_war").primitive_table
+    source = 'loop { mineBlock("slime_block", 1) }'
+    assert compile_program(source, table) == parse_source(source)
+
+
+def test_compile_program_rejects_unparsable_text():
+    table = get_scenario("mushroom_war").primitive_table
+    assert compile_program("broken(", table) is None
+
+
+def test_compile_program_rejects_primitives_the_scenario_lacks():
+    source = 'craftItem("bread", 1)'
+    assert compile_program(source, get_scenario("mushroom_war").primitive_table) is None
+    assert compile_program(source, get_scenario("dash_and_dine").primitive_table) is not None
 
 
 def test_ensure_primitive_coverage_stubs_missing_actions():
@@ -411,8 +473,17 @@ def test_tacticrafter_charges_idle_for_midgame_regenerations():
     assert any(n > 1 for n in system.iteration_counts.values())
 
 
-def test_tacticrafter_benches_agents_after_repeated_parse_failures():
-    client = MockChatClient(responder=lambda p, t: "no tags at all")
+@pytest.mark.parametrize(
+    "response",
+    [
+        "no tags at all",
+        "<program>\nbroken(\n</program>",
+        '<program>\ncraftItem("bread", 1)\n</program>',  # not a mushroom_war primitive
+    ],
+    ids=["no-tags", "unparsable", "invalid"],
+)
+def test_tacticrafter_benches_agents_after_repeated_parse_failures(response):
+    client = MockChatClient(responder=lambda p, t: response)
     system = TactiCrafterSystem(client)
     result = _short_episode(system, ticks=200)
     assert all(a.benched for a in system._agents.values())
@@ -436,6 +507,19 @@ def test_cot_system_plays_and_scores():
     result = _short_episode(system, ticks=1200)
     assert result.scores["red"] > 0
     assert [c.purpose for c in client.calls] == ["cot"]
+
+
+def test_cot_remembers_each_chat_line_once():
+    system = CoTTeamSystem(make_mock_client())
+    systems = {"red": system, "blue": BuiltinTeamSystem(builtin("berries", "dash_and_dine"))}
+    result = run_episode(get_scenario("dash_and_dine", duration_ticks=600), systems, 2)
+    remembered = [
+        e
+        for e in select_longest_log(list(system._memory.logs.values()))
+        if e.kind == "chat"
+    ]
+    # lines broadcast after the team's last turn are never shown to it
+    assert remembered and remembered == result.chat_log[: len(remembered)]
 
 
 def test_mock_responder_adapts_to_scenario_keywords():

@@ -2,17 +2,33 @@
 
 Logs produced by looping programs contain the same chat sequence over and
 over.  ``dedup_events`` finds consecutive repeats of chat subsequences
-(greedy, longest repeat first, window up to 64 messages) and keeps only the
-first occurrence.  Observe events ride along with the chat that precedes
-them, so observes attached to a removed chat are dropped too.  Relative
-order of retained events is always preserved and the result is a
+(greedy, longest repeat first, window up to ``MAX_WINDOW`` = 64 units) and
+keeps only the first occurrence.  Observe events ride along with the chat
+that precedes them, so observes attached to a removed chat are dropped too.
+Relative order of retained events is always preserved and the result is a
 subsequence of the input.
+
+The log is grouped into units (one chat plus its observes) and each
+distinct unit key gets a small int id, so the log becomes a ``str`` with one
+character ``chr(id)`` per unit.  A collapse pass walks the units left to
+right: at position ``i`` it takes the longest window ``w <= min(64,
+(n - i) // 2)`` whose block is immediately repeated, keeps one copy, skips
+every further back-to-back copy and resumes after them; with no repeat it
+keeps unit ``i`` and moves on.  That is exactly one ``finditer`` of
+``(.{1,64})\\1+``: the greedy ``.{1,64}`` tries the longest window first and
+backs off, ``\\1`` only matches a copy that fits in the string, ``\\1+``
+takes every back-to-back copy, and the scan resumes at the end of a match
+or one character later after a miss.  ``re.DOTALL`` matters because id 10
+encodes as ``"\\n"``.  Passes repeat until one finds no repeat.
 """
 from __future__ import annotations
+
+import re
 
 from ..world import Event
 
 MAX_WINDOW = 64
+_REPEAT = re.compile(r"(.{1,%d})\1+" % MAX_WINDOW, re.DOTALL)
 
 
 def _units(events: list[Event]) -> list[tuple[tuple, list[Event]]]:
@@ -33,36 +49,21 @@ def _units(events: list[Event]) -> list[tuple[tuple, list[Event]]]:
     return units
 
 
-def _collapse_pass(units: list[tuple[tuple, list[Event]]]):
-    keys = [k for k, _ in units]
-    n = len(keys)
-    out: list[tuple[tuple, list[Event]]] = []
-    i = 0
-    changed = False
-    while i < n:
-        hit = 0
-        for length in range(min(MAX_WINDOW, (n - i) // 2), 0, -1):
-            if keys[i : i + length] == keys[i + length : i + 2 * length]:
-                hit = length
-                break
-        if hit:
-            j = i + hit
-            while j + hit <= n and keys[j : j + hit] == keys[i : i + hit]:
-                j += hit
-            out.extend(units[i : i + hit])
-            i = j
-            changed = True
-        else:
-            out.append(units[i])
-            i += 1
-    return out, changed
-
-
 def dedup_events(events: list[Event]) -> list[Event]:
     """Deduplicated copy of ``events``; the input list is not modified."""
-    units = _units(list(events))
+    units = _units(events)
+    ids: dict[tuple, int] = {}
+    text = "".join(chr(ids.setdefault(key, len(ids))) for key, _ in units)
+    kept = list(range(len(units)))  # unit index of each character of text
     while True:
-        units, changed = _collapse_pass(units)
-        if not changed:
+        spans = []
+        start = 0
+        for m in _REPEAT.finditer(text):
+            spans.append((start, m.end(1)))
+            start = m.end()
+        if not spans:
             break
-    return [ev for _, unit in units for ev in unit]
+        spans.append((start, len(text)))
+        text = "".join(text[a:b] for a, b in spans)
+        kept = [u for a, b in spans for u in kept[a:b]]
+    return [ev for u in kept for ev in units[u][1]]

@@ -162,7 +162,11 @@ class PromptTemplates:
 
 
 def render_events(events: list[Event], cap: int = HISTORY_EVENT_CAP) -> str:
-    compact = dedup_events(events)[-cap:]
+    return _format_events(dedup_events(events)[-cap:])
+
+
+def _format_events(compact: list[Event]) -> str:
+    """One line per already-deduplicated event."""
     lines = []
     for ev in compact:
         if ev.kind == "chat":
@@ -178,11 +182,12 @@ def render_events(events: list[Event], cap: int = HISTORY_EVENT_CAP) -> str:
 
 def render_member_history(events: list[Event], members: list[str]) -> str:
     """Per member: (chat message, inventory at that time) pairs."""
+    compact = dedup_events(events)
     out = []
     for member in members:
         inventory: dict = {}
         pairs = []
-        for ev in dedup_events(events):
+        for ev in compact:
             if ev.kind == "observe" and ev.sender == member and isinstance(ev.payload, dict):
                 inventory = ev.payload.get("inventory", {})
             elif ev.kind == "chat" and ev.sender == member:
@@ -451,6 +456,7 @@ class _BaseAgent:
         self.benched = False
         self.critique = Critique("")
         self.events: list[Event] = []
+        self.compact: list[Event] = []  # dedup_events(events) at the last regeneration
         self.last_error = ""
 
 
@@ -539,7 +545,11 @@ class TactiCrafterSystem(ScriptTeam):
             causal_graph=self.graph.serialize() or "(empty)",
             primitives=self._desc.primitive_docs,
             constants=render_constants(self._desc.constants),
-            history=render_events(agent.events) if agent.events else "(episode start)",
+            history=(
+                _format_events(agent.compact[-HISTORY_EVENT_CAP:])
+                if agent.compact
+                else "(episode start)"
+            ),
             critique=agent.critique.to_text() or "(none)",
         )
 
@@ -578,7 +588,7 @@ class TactiCrafterSystem(ScriptTeam):
     def _criticize(self, agent: _BaseAgent, view: AgentView) -> None:
         obs = view.observation
         status = {
-            "chat log": [f"{e.sender}: {e.payload}" for e in dedup_events(agent.events)[-20:] if e.kind == "chat"],
+            "chat log": [f"{e.sender}: {e.payload}" for e in agent.compact[-20:] if e.kind == "chat"],
             "biome": obs.self_status.get("biome"),
             "time": obs.self_status.get("time"),
             "nearby blocks": sorted({k for k, _ in obs.nearby_blocks}),
@@ -611,6 +621,7 @@ class TactiCrafterSystem(ScriptTeam):
             return None
         # program ended (error or clean completion): critique and regenerate
         agent.last_error = agent.driver.error_message or ""
+        agent.compact = dedup_events(agent.events)
         self._criticize(agent, view)
         self._generate_program(agent, charge_latency=True)
         return agent.driver.next_request(view)

@@ -229,6 +229,15 @@ def _drain_transcripts(system, context: dict) -> list[dict]:
     return rows
 
 
+def _forget_calls(*systems) -> None:
+    """Drop the model-call records of ``systems``; the protocols keep no
+    transcripts, and each record holds a full prompt."""
+    for system in systems:
+        calls = getattr(getattr(system, "client", None), "calls", None)
+        if calls:
+            calls.clear()
+
+
 # -- the benchmark ----------------------------------------------------------
 
 
@@ -306,6 +315,7 @@ def adaptation_protocol(config: RunConfig, episodes_per_opponent: Optional[int] 
                 for episode in range(train_n):
                     seed = episode_seed(config.seed, scenario, f"adapt:{trained_on}", repeat, episode)
                     run_episode(scenario_config, {"red": red, "blue": blue}, seed)
+                    _forget_calls(red)
                 checkpoint = checkpoint_save(red) if isinstance(red, TactiCrafterSystem) else None
                 for evaluated_on in opponents:
                     if checkpoint is not None:
@@ -320,6 +330,7 @@ def adaptation_protocol(config: RunConfig, episodes_per_opponent: Optional[int] 
                         {"red": evaluator, "blue": BuiltinTeamSystem(builtin(evaluated_on, scenario))},
                         seed,
                     )
+                    _forget_calls(evaluator)
                     values = metric_values(
                         [result.reported["red"]], [result.reported["blue"]], sigmas[evaluated_on]
                     )
@@ -366,6 +377,7 @@ def self_play_protocol(
         for episode in range(total_episodes):
             seed = episode_seed(config.seed, scenario, "selfplay", 0, episode)
             result = run_episode(scenario_config, {"red": red, "blue": blue}, seed)
+            _forget_calls(red, blue)
             scores["red"].append(result.reported["red"])
             scores["blue"].append(result.reported["blue"])
             if (episode + 1) % checkpoint_every == 0 and isinstance(red, TactiCrafterSystem):
@@ -381,6 +393,7 @@ def self_play_protocol(
                     {"red": evaluator, "blue": BuiltinTeamSystem(builtin(opponent, scenario))},
                     seed,
                 )
+                _forget_calls(evaluator)
                 values = metric_values(
                     [result.reported["red"]], [result.reported["blue"]], sigmas[opponent]
                 )

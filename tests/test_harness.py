@@ -183,6 +183,36 @@ def test_calibration_runs_exactly_twenty_episodes(monkeypatch):
     assert len(seen) == CALIBRATION_EPISODES
 
 
+# -- protocols ------------------------------------------------------------------------
+
+
+def test_protocols_keep_no_model_calls_between_episodes(monkeypatch):
+    clients = []
+    retained = []
+    real = bench.run_episode
+
+    def keeping_build(self):
+        clients.append(bench.make_mock_client())
+        return clients[-1]
+
+    def checked(*args, **kwargs):
+        # no client still holds the records of an earlier episode
+        assert all(not c.calls for c in clients)
+        result = real(*args, **kwargs)
+        retained.append(sum(len(c.calls) for c in clients))
+        return result
+
+    monkeypatch.setattr(ClientConfig, "build", keeping_build)
+    monkeypatch.setattr(bench, "run_episode", checked)
+    monkeypatch.setattr(bench, "calibrate_sigma", lambda *args, **kwargs: 0.0)
+    config = RunConfig(scenarios=["dash_and_dine"], opponents=["do_nothing", "berries"],
+                       episodes=1, repeats=1, seed=3, red_system="tacticrafter")
+    bench.adaptation_protocol(config, episodes_per_opponent=2)
+    bench.self_play_protocol(config, total_episodes=2, checkpoint_every=1)
+    assert len(clients) > 2 and max(retained) > 0
+    assert all(not c.calls for c in clients)
+
+
 # -- run folders and exports ----------------------------------------------------------
 
 

@@ -34,18 +34,27 @@ def test_perfbench_patch_points_install_trace_and_restore(monkeypatch):
                 "red": TactiCrafterSystem(make_mock_client()),
                 "blue": BuiltinTeamSystem(builtin("passive", "mushroom_war")),
             }
-            tb_bench.run_episode(get_scenario("mushroom_war", duration_ticks=300), systems, 0)
+            # the second episode's pre-game renders the first one's history
+            for seed in (0, 1):
+                tb_bench.run_episode(
+                    get_scenario("mushroom_war", duration_ticks=300), systems, seed
+                )
         finally:
             recorder.restore()
     finally:
         tracer.restore()
 
     assert (tb_runner.execute, tb_runner.new_world, tb_bench.run_episode) == originals
-    [episode] = recorder.episodes
-    assert not episode.failed and episode.model_calls > 0
+    assert len(recorder.episodes) == 2
+    for episode in recorder.episodes:
+        assert not episode.failed and episode.model_calls > 0
     totals = tracer.totals()
     for span in ("agents.pre_game", "agents.next_request", "agents.post_game",
+                 "agents.dedup", "agents.render",
                  "opponents.next_request", "actionlang.parse_source", "actionlang.validate",
                  "world.observe", "primitives.execute"):
         assert totals[span][0] > 0, span
     assert tracer.counts["agents.chat.calls.program"] > 0
+    assert tracer.counts["agents.dedup.events_in"] > 0
+    # every regeneration dedups its agent's log through the traced name
+    assert 0 < tracer.counts["agents.regenerations"] <= totals["agents.dedup"][0]

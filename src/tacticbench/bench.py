@@ -29,9 +29,10 @@ from .agents import (
     make_mock_client,
 )
 from .metrics import MatchupMetrics, MetricsReport, compute_metrics, metric_values
-from .opponents import BuiltinTeamSystem, RandomTeamSystem, builtin, list_builtin
+from .opponents import BuiltinTeamSystem, RandomTeamSystem, builtin, list_builtin, script_text
 from .runner import EpisodeResult, run_episode
-from .scenarios import SCENARIO_NAMES, get_scenario
+from .scenarios import SCENARIO_NAMES, ScenarioConfig, get_scenario
+from .world import new_world
 
 CALIBRATION_EPISODES = 20
 DEFAULT_EPISODES = 5
@@ -122,6 +123,20 @@ def make_system(spec: str, scenario: str, client_factory: Callable, seed: int = 
 # -- calibration ------------------------------------------------------------
 
 
+def _calibration_key(config: ScenarioConfig, opponent: str, run_seed: int) -> str:
+    """``scenario:opponent:run_seed:sha256`` over the code version, the text
+    of every script the opponent and the idle red side run, and the
+    layout's initial world state."""
+    h = hashlib.sha256(__version__.encode())
+    for name in (opponent, "do_nothing"):
+        for script in builtin(name, config.name).scripts:
+            for asset in (script.primary, *script.prologues, script.fallback):
+                if asset is not None:
+                    h.update(f"\0{asset}\0{script_text(asset)}".encode())
+    h.update(new_world(config.layout, 0).state_hash().encode())
+    return f"{config.name}:{opponent}:{run_seed}:{h.hexdigest()}"
+
+
 def calibrate_sigma(
     scenario: str,
     opponent: str,
@@ -129,14 +144,14 @@ def calibrate_sigma(
     cache_path: Optional[str | Path] = None,
 ) -> float:
     """Blue opponent's mean reported score over exactly 20 episodes with a
-    do-nothing red side; cached per scenario+opponent+code version."""
-    key = f"{scenario}:{opponent}:{__version__}"
+    do-nothing red side; cached under ``_calibration_key``."""
+    config = get_scenario(scenario)
+    key = _calibration_key(config, opponent, run_seed)
     cache: dict[str, float] = {}
     if cache_path is not None and Path(cache_path).exists():
         cache = json.loads(Path(cache_path).read_text())
         if key in cache:
             return cache[key]
-    config = get_scenario(scenario)
     blue = BuiltinTeamSystem(builtin(opponent, scenario))
     total = 0.0
     for episode in range(CALIBRATION_EPISODES):

@@ -204,13 +204,19 @@ class _AgentPolicy:
         self.script = script
         self.constants = constants
         self.driver = ScriptDriver()
+        # parsed once per asset: ExecState never mutates its program
+        self._programs: dict[str, ActionProgram] = {}
         self.stage = "prologue"
         self.prologue_idx = 0
         self.primary_started_at = 0
         self._advance(tick=0)
 
     def _load(self, asset: str) -> None:
-        self.driver.load_source(render_script(asset, self.constants))
+        program = self._programs.get(asset)
+        if program is None:
+            program = parse_source(render_script(asset, self.constants))
+            self._programs[asset] = program
+        self.driver.load(program)
 
     def _advance(self, tick: int) -> None:
         """Pick the next program after the current one ends or errors."""

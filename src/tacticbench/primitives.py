@@ -132,27 +132,31 @@ def _pickup_ground_items(world: WorldState, agent: AgentBody) -> None:
         del world.ground_items[pos]
 
 
-def _nearest_cells(
+def _nearest_cell(
     world: WorldState,
     agent: AgentBody,
     match,
     area: str = "any",
-) -> list[tuple[int, tuple[int, int]]]:
+) -> Optional[tuple[int, int]]:
+    """The matching cell nearest the agent (Chebyshev, within
+    ``SEARCH_RADIUS``), ties broken by the smaller ``(x, z)``; None if none."""
     ax, az = agent.position.x, agent.position.z
-    out = []
-    for (x, z), cell in world.cells.items():
+    best: Optional[tuple[int, tuple[int, int]]] = None
+    for key, cell in world.cells.items():
         if not match(cell):
             continue
-        owner = world.area_of(x, z)
-        if area == "own" and owner != agent.team:
-            continue
-        if area == "opponent" and (owner == agent.team or owner == "neutral"):
-            continue
+        x, z = key
         d = max(abs(x - ax), abs(z - az))
-        if d <= SEARCH_RADIUS:
-            out.append((d, (x, z)))
-    out.sort()
-    return out
+        if d > SEARCH_RADIUS or (best is not None and (d, key) >= best):
+            continue
+        if area != "any":
+            owner = world.area_of(x, z)
+            if area == "own" and owner != agent.team:
+                continue
+            if area == "opponent" and (owner == agent.team or owner == "neutral"):
+                continue
+        best = (d, key)
+    return best[1] if best is not None else None
 
 
 # -- primitive handlers ------------------------------------------------------
@@ -172,10 +176,9 @@ def _prim_mine_block(world, config, agent, args, dur) -> PrimResult:
     total_ticks = 0
     collected: dict[str, int] = {}
     while mined < max_count:
-        candidates = _nearest_cells(world, agent, lambda c: c.kind == kind, area)
-        if not candidates:
+        pos = _nearest_cell(world, agent, lambda c: c.kind == kind, area)
+        if pos is None:
             break
-        _, pos = candidates[0]
         total_ticks += _walk(world, agent, Position(pos[0], 0, pos[1])) * dur.travel_per_cell
         cell = world.cells[pos]
         drops = world.rules.mine_drops(world, pos, kind, agent) if world.rules else {kind: 1}
@@ -207,10 +210,10 @@ def _prim_craft_item(world, config, agent, args, dur) -> PrimResult:
         raise ValueError(f"I cannot make {item} because I do not know how")
     travel = 0
     if recipe.needs_table:
-        tables = _nearest_cells(world, agent, lambda c: c.kind == "crafting_table")
-        if not tables:
+        table = _nearest_cell(world, agent, lambda c: c.kind == "crafting_table")
+        if table is None:
             raise ValueError(f"I cannot make {item} because there is no crafting table nearby")
-        travel += _walk(world, agent, Position(*_xz(tables[0][1]))) * dur.travel_per_cell
+        travel += _walk(world, agent, Position(*_xz(table))) * dur.travel_per_cell
     if recipe.needs_mob:
         mob = _nearest_mob(world, agent, recipe.needs_mob)
         if mob is None:
@@ -304,13 +307,12 @@ def _farm_harvest(world, agent, crop, dur) -> PrimResult:
     ticks = 0
     collected: dict[str, int] = {}
     while done < FARM_CELLS_PER_CALL:
-        cells = _nearest_cells(
+        pos = _nearest_cell(
             world, agent,
             lambda c: c.kind == crop.name and c.growth_stage >= crop.max_stage,
         )
-        if not cells:
+        if pos is None:
             break
-        _, pos = cells[0]
         ticks += _walk(world, agent, Position(*_xz(pos))) * dur.travel_per_cell
         cell = world.cells[pos]
         for item, n in crop.harvest_yield.items():
@@ -339,10 +341,9 @@ def _farm_destroy(world, agent, crop, dur) -> PrimResult:
     done = 0
     ticks = 0
     while done < FARM_CELLS_PER_CALL:
-        cells = _nearest_cells(world, agent, lambda c: c.kind == crop.name)
-        if not cells:
+        pos = _nearest_cell(world, agent, lambda c: c.kind == crop.name)
+        if pos is None:
             break
-        _, pos = cells[0]
         ticks += _walk(world, agent, Position(*_xz(pos))) * dur.travel_per_cell
         cell = world.cells[pos]
         if cell.growth_stage >= crop.max_stage:
@@ -368,10 +369,9 @@ def _farm_plant(world, agent, crop, dur) -> PrimResult:
     done = 0
     ticks = 0
     while done < FARM_CELLS_PER_CALL and agent.inventory.count(crop.seed) > 0:
-        cells = _nearest_cells(world, agent, lambda c: c.kind == "farmland")
-        if not cells:
+        pos = _nearest_cell(world, agent, lambda c: c.kind == "farmland")
+        if pos is None:
             break
-        _, pos = cells[0]
         ticks += _walk(world, agent, Position(*_xz(pos))) * dur.travel_per_cell
         cell = world.cells[pos]
         agent.inventory.remove(crop.seed, 1)
@@ -500,10 +500,10 @@ def _prim_signal(world, config, agent, args, dur) -> PrimResult:
 def _prim_transform_farm(world, config, agent, args, dur) -> PrimResult:
     source, target = args[0], args[1]
     needs_hoe = (source, target) in TRANSFORM_NEEDS_HOE
-    sources = _nearest_cells(world, agent, lambda c: c.kind == source)
-    if not sources:
+    nearest = _nearest_cell(world, agent, lambda c: c.kind == source)
+    if nearest is None:
         raise ValueError(f"No {source} cells to convert")
-    travel = _walk(world, agent, Position(*_xz(sources[0][1]))) * dur.travel_per_cell
+    travel = _walk(world, agent, Position(*_xz(nearest))) * dur.travel_per_cell
     converted = sabotage_transform(world, source, target, agent, needs_hoe=needs_hoe)
     return _ok(
         world, agent, f"Converted {converted} {source} into {target}",

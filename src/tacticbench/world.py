@@ -357,14 +357,21 @@ class WorldState:
     # -- observation ----------------------------------------------------
 
     def observe(self, agent_name: str, radius: int = 8) -> Observation:
+        """What the agent sees: every non-air cell within Chebyshev distance
+        ``radius`` of it as ``(kind, Position(x, 0, z))``, sorted by
+        ``(x, z)``; every live mob within Euclidean ``radius`` with its
+        distance; its inventory and status."""
         agent = self.agent(agent_name)
         ax, az = agent.position.x, agent.position.z
-        blocks: list[tuple[str, Position]] = []
-        for (x, z), cell in sorted(self.cells.items()):
-            if cell.kind == "air":
-                continue
-            if max(abs(x - ax), abs(z - az)) <= radius:
-                blocks.append((cell.kind, Position(x, 0, z)))
+        x0, x1, z0, z1 = ax - radius, ax + radius, az - radius, az + radius
+        cells = self.cells
+        near = [
+            key
+            for key, cell in cells.items()
+            if x0 <= key[0] <= x1 and z0 <= key[1] <= z1 and cell.kind != "air"
+        ]
+        near.sort()  # keys are unique, so sorting them alone gives the (x, z) order
+        blocks = [(cells[key].kind, Position(key[0], 0, key[1])) for key in near]
         mobs: list[tuple[str, float]] = []
         for mob in self.mobs:
             if not mob.alive:

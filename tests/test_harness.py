@@ -170,6 +170,40 @@ def test_calibration_uses_cache_on_second_call(tmp_path, monkeypatch):
     assert calibrate_sigma("mushroom_war", "do_nothing", 0, cache) == 0.0
 
 
+def test_calibration_cache_keeps_run_seeds_apart(tmp_path):
+    cache = tmp_path / "calibration.json"
+    seed_zero = calibrate_sigma("mushroom_war", "passive", 0, cache)
+    seed_seven = calibrate_sigma("mushroom_war", "passive", 7, cache)
+    assert seed_seven == calibrate_sigma("mushroom_war", "passive", 7)
+    assert seed_seven != seed_zero
+    stored = json.loads(cache.read_text())
+    assert sorted(stored.values()) == sorted([seed_zero, seed_seven])
+    # export.py finds a matchup's sigma by this prefix
+    assert all(key.startswith("mushroom_war:passive:") for key in stored)
+
+
+def test_calibration_cache_misses_after_a_script_edit(tmp_path, monkeypatch):
+    cache = tmp_path / "calibration.json"
+    calibrate_sigma("mushroom_war", "passive", 0, cache)
+    played = []
+    real_run, real_text = bench.run_episode, bench.script_text
+
+    def counting(*args, **kwargs):
+        played.append(1)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "run_episode", counting)
+    calibrate_sigma("mushroom_war", "passive", 0, cache)
+    assert not played  # unchanged inputs hit the cache
+    monkeypatch.setattr(
+        bench, "script_text",
+        lambda asset: real_text(asset) + ("# edited\n" if asset == "mw_harvester.act" else ""),
+    )
+    calibrate_sigma("mushroom_war", "passive", 0, cache)
+    assert len(played) == CALIBRATION_EPISODES
+    assert len(json.loads(cache.read_text())) == 2
+
+
 def test_calibration_runs_exactly_twenty_episodes(monkeypatch):
     seen = []
     real = bench.run_episode

@@ -5,7 +5,8 @@ from random import Random
 
 import pytest
 
-from tacticbench.actionlang import parse_source, validate
+import tacticbench.opponents as opponents
+from tacticbench.actionlang import parse_source, pretty_print, validate
 from tacticbench.actionlang.parse import Call, IfHas, Loop, Repeat
 from tacticbench.opponents import (
     BuiltinTeamSystem,
@@ -165,6 +166,51 @@ def test_builtin_episodes_are_seed_deterministic():
     assert [e.payload for e in a.chat_log] == [e.payload for e in b.chat_log]
     c = play("dash_and_dine", "cake_beetroot", "berries", seed=43)
     assert [e.payload for e in c.chat_log] != [e.payload for e in a.chat_log]
+
+
+def test_policies_parse_each_script_once_and_never_change_it(monkeypatch):
+    """The passive harvester errors into its fallback again and again; each
+    policy still parses every asset once, runs the program unchanged, and
+    plays the same episode as one that parses on every load."""
+    loading = []  # (policy, asset) of the load in progress
+    loads = []
+    policies = {}
+    parsed: dict[tuple[int, str], str] = {}  # (policy id, asset) -> program text
+    real_load, real_parse = opponents._AgentPolicy._load, opponents.parse_source
+
+    def tracked_load(self, asset):
+        policies[id(self)] = self
+        loads.append((id(self), asset))
+        loading.append((id(self), asset))
+        try:
+            real_load(self, asset)
+        finally:
+            loading.pop()
+
+    def counted_parse(source):
+        assert loading[-1] not in parsed, f"{loading[-1][1]} parsed twice by one policy"
+        program = real_parse(source)
+        parsed[loading[-1]] = pretty_print(program)
+        return program
+
+    monkeypatch.setattr(opponents._AgentPolicy, "_load", tracked_load)
+    monkeypatch.setattr(opponents, "parse_source", counted_parse)
+    cached = play("mushroom_war", "passive", "passive", seed=0)
+    assert sum(asset == "mw_harvester_fallback.act" for _, asset in loads) >= 10
+    assert set(parsed) == set(loads) and len(loads) > 2 * len(parsed)
+    for key, policy in policies.items():
+        for asset, program in policy._programs.items():
+            assert pretty_print(program) == parsed[(key, asset)]
+
+    def fresh_load(self, asset):
+        self.driver.load(real_parse(render_script(asset, self.constants)))
+
+    monkeypatch.setattr(opponents._AgentPolicy, "_load", fresh_load)
+    fresh = play("mushroom_war", "passive", "passive", seed=0)
+    assert [(e.tick, e.sender, e.payload) for e in cached.chat_log] == [
+        (e.tick, e.sender, e.payload) for e in fresh.chat_log
+    ]
+    assert cached.scores == fresh.scores
 
 
 # -- random baseline -------------------------------------------------------------

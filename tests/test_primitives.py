@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tacticbench.actionlang.interp import PrimitiveRequest
 from tacticbench.actionlang.parse import Call
-from tacticbench.primitives import FAIL_TICKS, Durations, execute
+from tacticbench.primitives import FAIL_TICKS, SEARCH_RADIUS, Durations, _nearest_cell, execute
 from tacticbench.scenarios import SMELT_TICKS, get_scenario, make_rules
-from tacticbench.world import Position, new_world
+from tacticbench.world import BlockCell, Position, new_world
 
 DUR = Durations()
 
@@ -375,3 +377,82 @@ def test_every_failure_costs_at_least_one_tick():
     world, config, _ = make_world("mushroom_war")
     res = run(world, config, "Ryn", req("mineBlock", "slime_block", 0))
     assert not res.ok and res.duration >= 1
+
+
+# -- nearest-cell search -------------------------------------------------------
+
+
+def oracle_nearest_cells(world, agent, match, area="any"):
+    """The scan-and-sort that ``_nearest_cell`` replaced: every matching cell
+    within ``SEARCH_RADIUS`` as ``(distance, (x, z))``, nearest first."""
+    ax, az = agent.position.x, agent.position.z
+    out = []
+    for (x, z), cell in world.cells.items():
+        if not match(cell):
+            continue
+        owner = world.area_of(x, z)
+        if area == "own" and owner != agent.team:
+            continue
+        if area == "opponent" and (owner == agent.team or owner == "neutral"):
+            continue
+        d = max(abs(x - ax), abs(z - az))
+        if d <= SEARCH_RADIUS:
+            out.append((d, (x, z)))
+    out.sort()
+    return out
+
+
+KINDS = ["slime_block", "red_mushroom_block", "wheat", "farmland"]
+MATCHES = [lambda c, k=k: c.kind == k for k in KINDS] + [
+    lambda c: c.kind == "wheat" and c.growth_stage >= 2,
+]
+
+
+@st.composite
+def edited_worlds(draw):
+    """A builtin world with cells placed at any growth stage or deleted,
+    rings of one kind around a point (equal distances, so ties), and every
+    agent moved, sometimes beyond ``SEARCH_RADIUS``."""
+    world, _, _ = make_world(draw(st.sampled_from(["mushroom_war", "dash_and_dine"])))
+    width, depth = world.layout.width, world.layout.depth
+    x, z = st.integers(0, width - 1), st.integers(0, depth - 1)
+    kinds = st.sampled_from(KINDS)
+    for op, key, kind, stage in draw(st.lists(
+        st.tuples(st.sampled_from(["place", "delete", "ring"]), st.tuples(x, z), kinds,
+                  st.integers(0, 3)),
+        max_size=30,
+    )):
+        if op == "place":
+            world.cells[key] = BlockCell(kind, growth_stage=stage)
+        elif op == "delete":
+            world.cells.pop(key, None)
+        else:
+            for dx, dz in ((-stage, 0), (stage, 0), (0, -stage), (0, stage), (stage, stage)):
+                if world.in_bounds(key[0] + dx, key[1] + dz):
+                    world.cells[(key[0] + dx, key[1] + dz)] = BlockCell(kind, growth_stage=3)
+    far = st.integers(-SEARCH_RADIUS - 20, width + SEARCH_RADIUS + 20)
+    for agent in world.agents:
+        agent.position = Position(draw(st.one_of(x, far)), 0, draw(z))
+    return world
+
+
+@settings(max_examples=150, deadline=None)
+@given(edited_worlds())
+def test_nearest_cell_matches_scan_and_sort_oracle(world):
+    for agent in world.agents:
+        for match in MATCHES:
+            for area in ("any", "own", "opponent"):
+                want = oracle_nearest_cells(world, agent, match, area)
+                got = _nearest_cell(world, agent, match, area)
+                assert got == (want[0][1] if want else None)
+
+
+def test_nearest_cell_breaks_distance_ties_on_x_then_z():
+    world, _, _ = make_world("dash_and_dine")
+    world.cells.clear()
+    agent = world.agent("Ryn")
+    agent.position = Position(10, 0, 5)
+    for key in [(12, 5), (10, 7), (10, 3), (8, 7), (8, 3)]:  # all at distance 2
+        world.cells[key] = BlockCell("wheat")
+    assert _nearest_cell(world, agent, lambda c: c.kind == "wheat") == (8, 3)
+    assert oracle_nearest_cells(world, agent, lambda c: c.kind == "wheat")[0][1] == (8, 3)

@@ -1,11 +1,16 @@
 """Simulation kernel: grid, timers, observations, determinism."""
 from __future__ import annotations
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tacticbench.layout import load_builtin_layout, load_layout_text
 from tacticbench.world import (
     DEFAULT_EPISODE_TICKS,
+    BlockCell,
     Event,
     Inventory,
     LayoutError,
@@ -97,6 +102,64 @@ def test_observe_radius_limits_blocks(mw_world):
     agent = mw_world.agent("Ryn")
     for _, pos in obs.nearby_blocks:
         assert agent.position.chebyshev(pos) <= 8
+
+
+def oracle_observe(world, agent_name: str, radius: int = 8):
+    """``observe``'s blocks and mobs as it computed them before it sorted
+    only nearby cells: sort every cell, then keep the near non-air ones."""
+    agent = world.agent(agent_name)
+    ax, az = agent.position.x, agent.position.z
+    blocks = []
+    for (x, z), cell in sorted(world.cells.items()):
+        if cell.kind == "air":
+            continue
+        if max(abs(x - ax), abs(z - az)) <= radius:
+            blocks.append((cell.kind, Position(x, 0, z)))
+    mobs = []
+    for mob in world.mobs:
+        if not mob.alive:
+            continue
+        d = math.dist((mob.position.x, mob.position.z), (ax, az))
+        if d <= radius:
+            mobs.append((mob.kind, round(d, 3)))
+    return blocks, mobs
+
+
+@st.composite
+def edited_worlds(draw):
+    """A builtin world with cells set to air, deleted or placed (placed keys
+    land at the end of the cell dict, out of sorted order), some mobs dead,
+    and every agent moved, sometimes off the grid."""
+    world = new_world(load_builtin_layout(draw(st.sampled_from(["mushroom_war", "dash_and_dine"]))), 0)
+    width, depth = world.layout.width, world.layout.depth
+    x = st.integers(-3, width + 2)
+    z = st.integers(-3, depth + 2)
+    kinds = st.sampled_from(["slime_block", "red_mushroom_block", "wheat", "chest", "farmland"])
+    for op, key, kind in draw(st.lists(
+        st.tuples(st.sampled_from(["air", "delete", "place"]), st.tuples(x, z), kinds), max_size=60
+    )):
+        if op == "place":
+            world.cells[key] = BlockCell(kind)
+        elif op == "delete":
+            world.cells.pop(key, None)
+        elif key in world.cells:
+            world.cells[key].kind = "air"
+    for mob in world.mobs:
+        mob.alive = draw(st.booleans())
+    for agent in world.agents:
+        agent.position = Position(draw(x), 0, draw(z))
+    return world
+
+
+@settings(max_examples=150, deadline=None)
+@given(edited_worlds(), st.integers(0, 40))
+def test_observe_matches_sort_every_cell_oracle(world, radius):
+    for agent in world.agents:
+        obs = world.observe(agent.name, radius)
+        blocks, mobs = oracle_observe(world, agent.name, radius)
+        assert obs.nearby_blocks == blocks
+        assert all(type(pos) is Position for _, pos in obs.nearby_blocks)
+        assert obs.nearby_mobs == mobs
 
 
 def test_observe_copies_inventory(mw_world):

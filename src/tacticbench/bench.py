@@ -123,11 +123,30 @@ def make_system(spec: str, scenario: str, client_factory: Callable, seed: int = 
 # -- calibration ------------------------------------------------------------
 
 
+def _rules_text(config: ScenarioConfig) -> str:
+    """The scenario's rule constants as JSON with every dict and set sorted,
+    so the text is the same under any ``PYTHONHASHSEED``."""
+    return json.dumps(
+        {
+            "duration_ticks": config.duration_ticks,
+            "wait_ticks": config.wait_ticks,
+            "recipes": {name: dataclasses.asdict(r) for name, r in config.recipes.items()},
+            "smelt_map": config.smelt_map,
+            "food_points": config.food_points,
+            "regrow": dataclasses.asdict(config.regrow),
+            "report_scale": config.report_scale,
+            "primitives": sorted(config.primitive_table.available),
+        },
+        sort_keys=True,
+    )
+
+
 def _calibration_key(config: ScenarioConfig, opponent: str, run_seed: int) -> str:
-    """``scenario:opponent:run_seed:sha256`` over the code version, the text
-    of every script the opponent and the idle red side run, and the
-    layout's initial world state."""
+    """``scenario:opponent:run_seed:sha256`` over the code version, the
+    scenario's rule constants, the text of every script the opponent and
+    the idle red side run, and the layout's initial world state."""
     h = hashlib.sha256(__version__.encode())
+    h.update(_rules_text(config).encode())
     for name in (opponent, "do_nothing"):
         for script in builtin(name, config.name).scripts:
             for asset in (script.primary, *script.prologues, script.fallback):

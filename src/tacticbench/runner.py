@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from .actionlang import PrimitiveRequest, SayRequest, WaitRequest
@@ -22,7 +23,7 @@ from .systems import (
     ScenarioMetadata,
     TeamSystem,
 )
-from .world import Event, WorldState, new_world
+from .world import OBSERVE_RADIUS, Event, WorldState, new_world
 
 SCENARIO_BLURBS = {
     MUSHROOM_WAR: (
@@ -94,15 +95,21 @@ class EpisodeResult:
 
 
 def _observe_event(world: WorldState, agent_name: str) -> Event:
-    obs = world.observe(agent_name)
+    """Kind counts of the nearby non-air cells (keys in the ``(x, z)`` order
+    of the cells), the sorted kinds of the nearby live mobs, the inventory
+    and the position: what ``observe`` shows, without building it."""
+    agent = world.agent(agent_name)
+    x, z = agent.position.x, agent.position.z
+    cells = world.cells
     blocks: dict[str, int] = {}
-    for kind, _pos in obs.nearby_blocks:
+    for key in world.nearby_cell_keys(x, z, OBSERVE_RADIUS):
+        kind = cells[key].kind
         blocks[kind] = blocks.get(kind, 0) + 1
     payload = {
         "blocks": blocks,
-        "mobs": sorted({k for k, _ in obs.nearby_mobs}),
-        "inventory": obs.inventory.as_dict(),
-        "position": (obs.self_status["position"].x, obs.self_status["position"].z),
+        "mobs": sorted({kind for kind, _ in world.nearby_mobs(x, z, OBSERVE_RADIUS)}),
+        "inventory": agent.inventory.as_dict(),
+        "position": (x, z),
     }
     return Event(kind="observe", tick=world.tick, sender=agent_name, payload=payload)
 
@@ -119,7 +126,8 @@ def run_episode(
     calls, so per-matchup state (learned tactics, causal models) carries over.
     A ``pre_game`` failure disables the whole team; an exception while
     driving a single agent sidelines only that agent, and the episode
-    still completes.
+    still completes.  The clock skips the ticks at which no agent is free,
+    no wait times out and no timer fires: nothing happens on them.
     """
     start = time.perf_counter()
     world = new_world(config.layout, seed)
@@ -151,6 +159,24 @@ def run_episode(
         world.broadcast("environment", f"agent {agent.name} system failed: {exc}")
         agent.busy_until = world.duration
 
+    def next_visit() -> int:
+        # the earliest tick at which an agent can be served, a wait can time
+        # out or a timer fires; the ticks before it change nothing
+        t = world.tick
+        nxt = world.duration
+        top = world.next_timer_tick()
+        if top is not None:
+            nxt = min(nxt, top)
+        for agent in movers:
+            if not active.get(agent.team, False):
+                continue
+            if agent.waiting_for is not None:
+                if agent.wait_deadline is not None:
+                    nxt = min(nxt, agent.wait_deadline)
+            else:
+                nxt = min(nxt, t + 1 if agent.busy_until is None else agent.busy_until)
+        return max(t + 1, nxt)
+
     while world.tick < world.duration:
         for agent in movers:
             if not active.get(agent.team, False):
@@ -170,14 +196,17 @@ def run_episode(
                 tick=world.tick,
                 duration=world.duration,
                 agent_name=agent.name,
-                observation=world.observe(agent.name),
                 new_events=agent_logs[agent.name][prev:],
+                inventory=agent.inventory.copy(),
+                observe=partial(world.observe, agent.name),
             )
             try:
                 req = systems[agent.team].next_request(agent.name, view)
             except Exception as exc:
                 sideline(agent, exc)
                 continue
+            finally:
+                view.close()
             if req is None:
                 agent.busy_until = world.tick + config.wait_ticks
                 continue
@@ -201,6 +230,9 @@ def run_episode(
                 systems[agent.team].on_result(agent.name, outcome)
             except Exception as exc:
                 sideline(agent, exc)
+        nxt = next_visit()
+        if nxt > world.tick + 1:
+            world.skip_idle(nxt)
         world.step_tick()
 
     for name in cursors:

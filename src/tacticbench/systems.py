@@ -11,7 +11,7 @@ observations, chat events, and static metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Protocol, Union
+from typing import Callable, Optional, Protocol, Union
 
 from .actionlang import (
     ActionProgram,
@@ -47,19 +47,50 @@ class ScenarioMetadata:
         return others[0]
 
 
-@dataclass
 class AgentView:
-    """Everything a controller may see when asked for its next action."""
+    """Everything a controller may see when asked for its next action.
 
-    tick: int
-    duration: int
-    agent_name: str
-    observation: Observation
-    new_events: list[Event]
+    A view describes the tick it was made for.  ``observation`` is computed
+    on its first read and valid only while ``next_request`` runs: once the
+    call returns the runner closes the view, and any later read raises.
+    ``inventory`` is a copy of the agent's inventory taken when the view was
+    made, so changing it changes nothing in the episode.  Tests may pass an
+    eager ``observation`` instead.
+    """
+
+    def __init__(
+        self,
+        tick: int,
+        duration: int,
+        agent_name: str,
+        observation: Optional[Observation] = None,
+        new_events: Optional[list[Event]] = None,
+        *,
+        inventory: Optional[Inventory] = None,
+        observe: Optional[Callable[[], Observation]] = None,
+    ) -> None:
+        if observation is None and (observe is None or inventory is None):
+            raise ValueError("AgentView needs an observation, or an inventory and an observe callable")
+        self.tick = tick
+        self.duration = duration
+        self.agent_name = agent_name
+        self.new_events = [] if new_events is None else new_events
+        self.inventory = observation.inventory if inventory is None else inventory
+        self._observation = observation
+        self._observe = observe
+        self._closed = False
 
     @property
-    def inventory(self) -> Inventory:
-        return self.observation.inventory
+    def observation(self) -> Observation:
+        if self._closed:
+            raise RuntimeError(f"view of {self.agent_name} at tick {self.tick} is closed")
+        if self._observation is None:
+            self._observation = self._observe()
+        return self._observation
+
+    def close(self) -> None:
+        self._closed = True
+        self._observation = self._observe = None
 
 
 @dataclass

@@ -19,6 +19,7 @@ from typing import Any, Optional
 
 TICKS_PER_SECOND = 20
 DEFAULT_EPISODE_TICKS = 2400
+OBSERVE_RADIUS = 8
 
 NEUTRAL = "neutral"
 
@@ -93,7 +94,9 @@ class Inventory:
         return self.stacks.items()
 
     def copy(self) -> "Inventory":
-        return Inventory(dict(self.stacks))
+        inv = Inventory()
+        inv.stacks = dict(self.stacks)
+        return inv
 
     def as_dict(self) -> dict[str, int]:
         return dict(self.stacks)
@@ -310,6 +313,20 @@ class WorldState:
     def pending_timers(self) -> list[ScheduledEvent]:
         return [ev for _, _, ev in self._timer_heap if not ev.cancelled]
 
+    def next_timer_tick(self) -> Optional[int]:
+        """Fire tick of the earliest queued timer (possibly a cancelled one),
+        or None when the queue is empty.  No timer is due before it."""
+        return self._timer_heap[0][0] if self._timer_heap else None
+
+    def skip_idle(self, until: int) -> None:
+        """Move the clock to ``until - 1`` so the next ``step_tick`` enters
+        ``until``.  Only valid when no timer is due before ``until``: the
+        skipped ticks would draw nothing from the rng and change nothing."""
+        top = self.next_timer_tick()
+        if until <= self.tick or (top is not None and top < until):
+            raise WorldError(f"cannot skip from tick {self.tick} to {until} (next timer {top})")
+        self.tick = until - 1
+
     def step_tick(self) -> list[Event]:
         """Advance one tick and apply every timer due at the new tick."""
         self.tick += 1
@@ -356,29 +373,42 @@ class WorldState:
 
     # -- observation ----------------------------------------------------
 
-    def observe(self, agent_name: str, radius: int = 8) -> Observation:
+    def nearby_cell_keys(self, x: int, z: int, radius: int) -> list[tuple[int, int]]:
+        """Keys of the non-air cells within Chebyshev distance ``radius`` of
+        (x, z), sorted by ``(x, z)``."""
+        x0, x1, z0, z1 = x - radius, x + radius, z - radius, z + radius
+        near = [
+            key
+            for key, cell in self.cells.items()
+            if x0 <= key[0] <= x1 and z0 <= key[1] <= z1 and cell.kind != "air"
+        ]
+        near.sort()  # keys are unique, so sorting them alone gives the (x, z) order
+        return near
+
+    def nearby_mobs(self, x: int, z: int, radius: int) -> list[tuple[str, float]]:
+        """``(kind, distance)`` of every live mob within Euclidean ``radius``
+        of (x, z), in mob order; distances are not rounded."""
+        out = []
+        for mob in self.mobs:
+            if mob.alive:
+                d = math.dist((mob.position.x, mob.position.z), (x, z))
+                if d <= radius:
+                    out.append((mob.kind, d))
+        return out
+
+    def observe(self, agent_name: str, radius: int = OBSERVE_RADIUS) -> Observation:
         """What the agent sees: every non-air cell within Chebyshev distance
         ``radius`` of it as ``(kind, Position(x, 0, z))``, sorted by
         ``(x, z)``; every live mob within Euclidean ``radius`` with its
         distance; its inventory and status."""
         agent = self.agent(agent_name)
         ax, az = agent.position.x, agent.position.z
-        x0, x1, z0, z1 = ax - radius, ax + radius, az - radius, az + radius
         cells = self.cells
-        near = [
-            key
-            for key, cell in cells.items()
-            if x0 <= key[0] <= x1 and z0 <= key[1] <= z1 and cell.kind != "air"
+        blocks = [
+            (cells[key].kind, Position(key[0], 0, key[1]))
+            for key in self.nearby_cell_keys(ax, az, radius)
         ]
-        near.sort()  # keys are unique, so sorting them alone gives the (x, z) order
-        blocks = [(cells[key].kind, Position(key[0], 0, key[1])) for key in near]
-        mobs: list[tuple[str, float]] = []
-        for mob in self.mobs:
-            if not mob.alive:
-                continue
-            d = math.dist((mob.position.x, mob.position.z), (ax, az))
-            if d <= radius:
-                mobs.append((mob.kind, round(d, 3)))
+        mobs = [(kind, round(d, 3)) for kind, d in self.nearby_mobs(ax, az, radius)]
         velocity = (0, 0, 0)
         status = {
             "health": agent.health,

@@ -3,13 +3,19 @@ exports, and the CLI surface."""
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
 from pathlib import Path
 from random import Random
 
 import pytest
 
 import tacticbench.bench as bench
+import tacticbench.runner as tb_runner
 from tacticbench.bench import (
     CALIBRATION_EPISODES,
     ClientConfig,
@@ -28,7 +34,10 @@ from tacticbench.metrics import (
     metric_values,
 )
 from tacticbench.agents import CoTTeamSystem, TactiCrafterSystem
-from tacticbench.opponents import BuiltinTeamSystem, RandomTeamSystem
+from tacticbench.opponents import BuiltinTeamSystem, RandomTeamSystem, builtin, list_builtin
+from tacticbench.runner import build_metadata
+from tacticbench.scenarios import get_scenario
+from tacticbench.world import WorldState
 
 
 # -- metrics -------------------------------------------------------------------
@@ -204,6 +213,45 @@ def test_calibration_cache_misses_after_a_script_edit(tmp_path, monkeypatch):
     assert len(json.loads(cache.read_text())) == 2
 
 
+def test_calibration_key_covers_the_rule_constants():
+    base = get_scenario("dash_and_dine")
+    recipes = {**base.recipes, "bread": dataclasses.replace(base.recipes["bread"], output_count=2)}
+    edited = [
+        dataclasses.replace(base, duration_ticks=2399),
+        dataclasses.replace(base, wait_ticks=81),
+        dataclasses.replace(base, recipes=recipes),
+        dataclasses.replace(base, smelt_map={**base.smelt_map, "potato": "bread"}),
+        dataclasses.replace(base, food_points={**base.food_points, "cake": 15}),
+        dataclasses.replace(base, regrow=dataclasses.replace(base.regrow, crop_advance_p=0.06)),
+        dataclasses.replace(base, report_scale=0.2),
+        dataclasses.replace(base, primitive_table=dataclasses.replace(
+            base.primitive_table, available=base.primitive_table.available - {"killMob"})),
+    ]
+    keys = [bench._calibration_key(config, "berries", 0) for config in edited]
+    assert bench._calibration_key(base, "berries", 0) not in keys
+    assert len(set(keys)) == len(keys)
+    # export.py finds a matchup's sigma by this prefix
+    assert all(key.startswith("dash_and_dine:berries:0:") for key in keys)
+
+
+def test_calibration_key_is_the_same_under_any_hash_seed():
+    code = (
+        "from tacticbench.bench import _calibration_key\n"
+        "from tacticbench.scenarios import get_scenario\n"
+        "for s, o in (('dash_and_dine', 'berries'), ('mushroom_war', 'slimy')):\n"
+        "    print(_calibration_key(get_scenario(s), o, 3))\n"
+    )
+    src = str(Path(bench.__file__).resolve().parent.parent)
+    outs = []
+    for hash_seed in ("0", "1", "12345"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        outs.append(run.stdout)
+    assert len(outs[0].split()) == 2 and outs[0] == outs[1] == outs[2]
+
+
 def test_calibration_runs_exactly_twenty_episodes(monkeypatch):
     seen = []
     real = bench.run_episode
@@ -317,21 +365,230 @@ def test_mirror_match_metrics_are_balanced(mini_run):
 # -- runner fault isolation -------------------------------------------------------------
 
 
-class _HalfBrokenSystem:
-    """Wraps a working system but raises whenever one agent is polled."""
+class _FaultySystem:
+    """Wraps a working system and raises in one phase: ``pre_game`` and
+    ``post_game`` for the team, ``next_request`` and ``on_result`` for its
+    first agent only."""
 
-    def __init__(self, inner):
+    def __init__(self, inner, phase):
         self.inner = inner
+        self.phase = phase
         self.broken = None
+        self.polls = Counter()
 
     def pre_game(self, meta, team, observations):
+        if self.phase == "pre_game":
+            raise RuntimeError("pre_game crashed")
         self.inner.pre_game(meta, team, observations)
         self.broken = meta.teams[team][0]
 
     def next_request(self, agent_name, view):
-        if agent_name == self.broken:
+        self.polls[agent_name] += 1
+        if self.phase == "next_request" and agent_name == self.broken:
             raise RuntimeError("controller crashed")
         return self.inner.next_request(agent_name, view)
+
+    def on_result(self, agent_name, outcome):
+        if self.phase == "on_result" and agent_name == self.broken:
+            raise RuntimeError("on_result crashed")
+        self.inner.on_result(agent_name, outcome)
+
+    def post_game(self, score):
+        if self.phase == "post_game":
+            raise RuntimeError("post_game crashed")
+        self.inner.post_game(score)
+
+
+def test_agent_exception_sidelines_only_that_agent():
+    config = get_scenario("mushroom_war")
+    systems = {
+        "red": _FaultySystem(BuiltinTeamSystem(builtin("passive", "mushroom_war")), "next_request"),
+        "blue": BuiltinTeamSystem(builtin("do_nothing", "mushroom_war")),
+    }
+    result = tb_runner.run_episode(config, systems, seed=4)
+    assert result.disabled_teams == []  # only one agent died, not the team
+    assert any("system failed" in e.payload for e in result.chat_log if e.kind == "chat")
+    assert result.scores["red"] > 0  # the surviving teammate keeps scoring
+
+
+@pytest.fixture
+def worlds(monkeypatch):
+    """Every world ``run_episode`` makes, reached as perfbench does."""
+    made = []
+    real = tb_runner.new_world
+
+    def capture(layout, seed):
+        made.append(real(layout, seed))
+        return made[-1]
+
+    monkeypatch.setattr(tb_runner, "new_world", capture)
+    return made
+
+
+@pytest.fixture
+def step_ticks(monkeypatch):
+    calls = []
+    real = WorldState.step_tick
+
+    def counting(self):
+        calls.append(self.tick)
+        return real(self)
+
+    monkeypatch.setattr(WorldState, "step_tick", counting)
+    return calls
+
+
+def test_pre_game_failure_disables_the_team_without_pinning_the_clock(worlds, step_ticks):
+    config = get_scenario("mushroom_war")
+    red = _FaultySystem(BuiltinTeamSystem(builtin("passive", "mushroom_war")), "pre_game")
+    blue = BuiltinTeamSystem(builtin("do_nothing", "mushroom_war"))
+    result = tb_runner.run_episode(config, {"red": red, "blue": blue}, seed=4)
+    assert result.disabled_teams == ["red"]
+    assert "team red system failed: pre_game crashed" in [e.payload for e in result.chat_log]
+    assert not red.polls and result.scores["red"] == 0
+    assert worlds[-1].tick == config.duration_ticks
+    # the idle blue side acts every 20 ticks; red's never-busy agents are skipped
+    assert len(step_ticks) < config.duration_ticks // 4
+
+
+def test_on_result_failure_sidelines_only_that_agent():
+    config = get_scenario("mushroom_war")
+    red = _FaultySystem(BuiltinTeamSystem(builtin("passive", "mushroom_war")), "on_result")
+    blue = BuiltinTeamSystem(builtin("do_nothing", "mushroom_war"))
+    result = tb_runner.run_episode(config, {"red": red, "blue": blue}, seed=4)
+    assert result.disabled_teams == []
+    failed = [e for e in result.chat_log if e.payload == f"agent {red.broken} system failed: on_result crashed"]
+    assert len(failed) == 1
+    assert red.polls[red.broken] == 1  # sidelined after its first outcome
+    (mate,) = [name for name in red.polls if name != red.broken]
+    assert red.polls[mate] > 10 and result.scores["red"] > 0
+
+
+def test_post_game_failure_is_broadcast_and_the_result_returned(worlds):
+    config = get_scenario("mushroom_war", duration_ticks=300)
+    red = _FaultySystem(BuiltinTeamSystem(builtin("passive", "mushroom_war")), "post_game")
+    blue = _FaultySystem(BuiltinTeamSystem(builtin("slimy", "mushroom_war")), None)
+    ended = []
+    blue.inner.post_game = ended.append
+    result = tb_runner.run_episode(config, {"red": red, "blue": blue}, seed=4)
+    assert result.ticks == 300 and set(result.scores) == {"red", "blue"}
+    assert worlds[-1].chat_log[-1].payload == "team red post_game failed: post_game crashed"
+    assert [score.team for score in ended] == ["blue"]  # the other team still learns
+
+
+def test_failed_matchup_is_recorded_and_the_others_complete(tmp_path, monkeypatch):
+    real = bench.run_episode
+
+    def crashing(config, systems, seed):
+        if systems["blue"].name == "passive":
+            raise RuntimeError("blue crashed")
+        return real(config, systems, seed)
+
+    monkeypatch.setattr(bench, "calibrate_sigma", lambda *args, **kwargs: 0.0)
+    monkeypatch.setattr(bench, "run_episode", crashing)
+    config = RunConfig(scenarios=["mushroom_war"], opponents=["passive", "do_nothing"],
+                       episodes=1, repeats=1, seed=2, red_system="builtin:do_nothing",
+                       output_dir=str(tmp_path))
+    output = run_benchmark(config, folder_name="faulty")
+    expected = ["mushroom_war/builtin:do_nothing-vs-passive: blue crashed"]
+    assert output.failed_matchups == expected
+    assert json.loads((output.run_dir / "failed_matchups.json").read_text()) == expected
+    assert [m.blue for m in output.report.matchups] == ["do_nothing"]
+    assert len(output.episodes) == 1 and output.episodes[0]["blue"] == "do_nothing"
+    assert len(list((output.run_dir / "episodes").glob("*.json"))) == 1
+
+
+# -- runner: next-event clock and on-demand views -------------------------------------
+
+
+class _SidelinedWaiter(_FaultySystem):
+    """Random play whose ``on_result`` fails after a signal wait starts, so a
+    sidelined agent is still waiting when its deadline passes."""
+
+    def __init__(self, seed):
+        super().__init__(RandomTeamSystem(seed), None)
+
+    def on_result(self, agent_name, outcome):
+        if outcome.message == "waiting":
+            raise RuntimeError("on_result crashed while waiting")
+        self.inner.on_result(agent_name, outcome)
+
+
+def _episode_digest(result, world):
+    return (
+        [(e.tick, e.sender, e.payload) for e in result.chat_log],
+        result.agent_logs,
+        result.scores,
+        result.timelines,
+        world.state_hash(),
+    )
+
+
+JUMP_CASES = [
+    (scenario, red, opponent, seed)
+    for scenario in ("mushroom_war", "dash_and_dine")
+    for opponent in list_builtin(scenario)
+    for red, seed in ((RandomTeamSystem, 0), (RandomTeamSystem, 1), (RandomTeamSystem, 3), (_SidelinedWaiter, 2))
+]
+
+
+def test_skipping_idle_ticks_changes_nothing(worlds, step_ticks, monkeypatch):
+    """Oracle: with the timer top reported as always due next tick, the
+    runner visits every tick, as a loop without jumps does."""
+    jumped, every_tick, chats = [], [], []
+    for scenario, red, opponent, seed in JUMP_CASES:
+        config = get_scenario(scenario, duration_ticks=600)
+        systems = {"red": red(seed), "blue": BuiltinTeamSystem(builtin(opponent, scenario))}
+        result = tb_runner.run_episode(config, systems, seed)
+        jumped.append(_episode_digest(result, worlds[-1]))
+        chats.extend(e.payload for e in result.chat_log)
+    visited = len(step_ticks)
+    with monkeypatch.context() as patch:
+        patch.setattr(WorldState, "next_timer_tick", lambda self: self.tick + 1)
+        for scenario, red, opponent, seed in JUMP_CASES:
+            config = get_scenario(scenario, duration_ticks=600)
+            systems = {"red": red(seed), "blue": BuiltinTeamSystem(builtin(opponent, scenario))}
+            result = tb_runner.run_episode(config, systems, seed)
+            every_tick.append(_episode_digest(result, worlds[-1]))
+    assert len(step_ticks) - visited == 600 * len(JUMP_CASES)
+    assert visited < 600 * len(JUMP_CASES)
+    for case, a, b in zip(JUMP_CASES, jumped, every_tick):
+        assert a == b, case
+    # the cases reach signal wakes, wait timeouts and sidelined waiters
+    assert any(c.startswith("Signal received from") for c in chats)
+    assert any(c == "Stopped waiting for signal (timeout)" for c in chats)
+    assert any(c.endswith("on_result crashed while waiting") for c in chats)
+
+
+def test_idle_mirror_visits_few_ticks(worlds, step_ticks):
+    config = get_scenario("mushroom_war")
+    systems = {team: BuiltinTeamSystem(builtin("do_nothing", "mushroom_war")) for team in ("red", "blue")}
+    result = tb_runner.run_episode(config, systems, seed=0)
+    assert result.scores == {"red": 0, "blue": 0}
+    assert worlds[-1].tick == config.duration_ticks
+    assert len(step_ticks) < config.duration_ticks // 4
+
+
+class _ViewProbe:
+    """Wraps a system; keeps every view and the inventory it held when
+    handed out, then scribbles on that inventory after the inner system
+    has decided."""
+
+    def __init__(self, inner, read_observation=False):
+        self.inner = inner
+        self.read_observation = read_observation
+        self.views = []
+
+    def pre_game(self, meta, team, observations):
+        self.inner.pre_game(meta, team, observations)
+
+    def next_request(self, agent_name, view):
+        if self.read_observation:
+            assert view.observation.self_status["time"] == view.tick
+        req = self.inner.next_request(agent_name, view)
+        self.views.append((view, view.inventory.as_dict()))
+        view.inventory.add("diamond", 64)
+        return req
 
     def on_result(self, agent_name, outcome):
         self.inner.on_result(agent_name, outcome)
@@ -340,20 +597,58 @@ class _HalfBrokenSystem:
         self.inner.post_game(score)
 
 
-def test_agent_exception_sidelines_only_that_agent():
-    from tacticbench.opponents import builtin
-    from tacticbench.runner import run_episode
-    from tacticbench.scenarios import get_scenario
-
+def test_observe_runs_only_for_pre_game(monkeypatch):
     config = get_scenario("mushroom_war")
-    systems = {
-        "red": _HalfBrokenSystem(BuiltinTeamSystem(builtin("passive", "mushroom_war"))),
-        "blue": BuiltinTeamSystem(builtin("do_nothing", "mushroom_war")),
-    }
-    result = run_episode(config, systems, seed=4)
-    assert result.disabled_teams == []  # only one agent died, not the team
-    assert any("system failed" in e.payload for e in result.chat_log if e.kind == "chat")
-    assert result.scores["red"] > 0  # the surviving teammate keeps scoring
+    calls, polls = [], []
+    real_observe, real_next = WorldState.observe, BuiltinTeamSystem.next_request
+
+    def observing(self, *args, **kwargs):
+        calls.append(len(polls))
+        return real_observe(self, *args, **kwargs)
+
+    def polling(self, agent_name, view):
+        polls.append(agent_name)
+        return real_next(self, agent_name, view)
+
+    monkeypatch.setattr(WorldState, "observe", observing)
+    monkeypatch.setattr(BuiltinTeamSystem, "next_request", polling)
+    systems = {"red": BuiltinTeamSystem(builtin("passive", "mushroom_war")),
+               "blue": BuiltinTeamSystem(builtin("slimy", "mushroom_war"))}
+    tb_runner.run_episode(config, systems, seed=5)
+    players = sum(len(names) for names in build_metadata(config).teams.values())
+    assert len(polls) > 100 and calls == [0] * players
+
+
+def test_view_inventory_is_a_snapshot(worlds):
+    config = get_scenario("mushroom_war")
+
+    def play(probe):
+        systems = {"red": BuiltinTeamSystem(builtin("passive", "mushroom_war")),
+                   "blue": BuiltinTeamSystem(builtin("slimy", "mushroom_war"))}
+        if probe:
+            systems["red"] = _ViewProbe(systems["red"])
+        return tb_runner.run_episode(config, systems, seed=6), systems["red"]
+
+    plain, _ = play(False)
+    probed, probe = play(True)
+    assert probed.scores == plain.scores
+    assert [(e.tick, e.payload) for e in probed.chat_log] == [(e.tick, e.payload) for e in plain.chat_log]
+    assert all(agent.inventory.count("diamond") == 0 for agent in worlds[-1].agents)
+    assert any(held for _, held in probe.views)  # the agents did pick things up
+    for view, held in probe.views:
+        # later primitives never reached an inventory already handed out
+        assert view.inventory.as_dict() == {**held, "diamond": 64}
+
+
+def test_view_observation_is_read_on_demand_and_closes():
+    config = get_scenario("dash_and_dine", duration_ticks=300)
+    probe = _ViewProbe(RandomTeamSystem(3), read_observation=True)
+    tb_runner.run_episode(config, {"red": probe, "blue": BuiltinTeamSystem(builtin("berries", "dash_and_dine"))}, 3)
+    assert probe.views
+    for view, _ in probe.views:
+        with pytest.raises(RuntimeError, match="closed"):
+            view.observation
+        assert view.inventory.count("diamond") == 64  # the snapshot stays readable
 
 
 # -- CLI ------------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tacticbench.layout import load_builtin_layout, load_layout_text
+from tacticbench.runner import _observe_event
 from tacticbench.world import (
     DEFAULT_EPISODE_TICKS,
     BlockCell,
@@ -15,6 +16,7 @@ from tacticbench.world import (
     Inventory,
     LayoutError,
     Position,
+    WorldError,
     new_world,
 )
 
@@ -160,6 +162,51 @@ def test_observe_matches_sort_every_cell_oracle(world, radius):
         assert obs.nearby_blocks == blocks
         assert all(type(pos) is Position for _, pos in obs.nearby_blocks)
         assert obs.nearby_mobs == mobs
+
+
+def oracle_observe_event(world, agent_name: str) -> Event:
+    """The observe event as the runner built it from a full ``observe``."""
+    obs = world.observe(agent_name)
+    blocks: dict[str, int] = {}
+    for kind, _pos in obs.nearby_blocks:
+        blocks[kind] = blocks.get(kind, 0) + 1
+    payload = {
+        "blocks": blocks,
+        "mobs": sorted({k for k, _ in obs.nearby_mobs}),
+        "inventory": obs.inventory.as_dict(),
+        "position": (obs.self_status["position"].x, obs.self_status["position"].z),
+    }
+    return Event(kind="observe", tick=world.tick, sender=agent_name, payload=payload)
+
+
+@settings(max_examples=150, deadline=None)
+@given(edited_worlds(), st.lists(st.sampled_from(["wheat", "potato", "slime_ball", "coal"]), max_size=6))
+def test_observe_event_matches_the_full_observation_oracle(world, items):
+    for i, item in enumerate(items):
+        world.agents[i % len(world.agents)].inventory.add(item, i + 1)
+    for agent in world.agents:
+        event = _observe_event(world, agent.name)
+        expected = oracle_observe_event(world, agent.name)
+        assert event == expected
+        # prompts render the counts in dict order
+        assert list(event.payload["blocks"]) == list(expected.payload["blocks"])
+
+
+def test_next_timer_tick_and_skip_idle(mw_world):
+    assert mw_world.next_timer_tick() is None
+    late = mw_world.schedule("mob-respawn", mw_world.mobs[0], 50)
+    early = mw_world.schedule("mob-respawn", mw_world.mobs[0], 20)
+    assert mw_world.next_timer_tick() == 20
+    mw_world.cancel(early)
+    assert mw_world.next_timer_tick() == 20  # a cancelled top only shortens a jump
+    with pytest.raises(WorldError):
+        mw_world.skip_idle(21)  # would step over a queued timer
+    with pytest.raises(WorldError):
+        mw_world.skip_idle(0)
+    mw_world.skip_idle(20)
+    assert mw_world.tick == 19
+    mw_world.step_tick()
+    assert mw_world.tick == 20 and mw_world.next_timer_tick() == late.fire_tick == 50
 
 
 def test_observe_copies_inventory(mw_world):

@@ -1,7 +1,7 @@
 """Primitive signature catalog and per-scenario availability tables."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .parse import ActionProgram, Call, IfHas, Loop, Repeat, Statement
 

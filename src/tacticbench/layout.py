@@ -12,7 +12,7 @@ from typing import Any
 
 import yaml
 
-from .world import BlockCell, Layout, LayoutError, Position, area_of, validate_layout
+from .world import BlockCell, Layout, LayoutError, Position, validate_layout
 
 SCHEMA_VERSION = 1
 
@@ -29,6 +29,23 @@ _TOP_KEYS = {
     "containers",
     "furnaces",
 }
+
+_ENTRY_KEYS = {
+    "cells": {"kind", "patch", "at", "stage"},
+    "agents": {"name", "team", "start"},
+    "servers": {"name", "team", "at"},
+    "mobs": {"kind", "at"},
+    "containers": {"at", "stacks"},
+}
+
+
+def _entries(doc: dict[str, Any], key: str) -> list[dict[str, Any]]:
+    entries = doc.get(key) or []
+    for entry in entries:
+        unknown = set(entry) - _ENTRY_KEYS[key]
+        if unknown:
+            raise LayoutError(f"unknown keys in a {key} entry: {sorted(unknown)}")
+    return entries
 
 
 def layout_from_dict(doc: dict[str, Any]) -> Layout:
@@ -48,10 +65,9 @@ def layout_from_dict(doc: dict[str, Any]) -> Layout:
     }
 
     cells: dict[tuple[int, int], BlockCell] = {}
-    for entry in doc.get("cells") or []:
+    for entry in _entries(doc, "cells"):
         kind = entry["kind"]
         stage = int(entry.get("stage", 0))
-        plot = entry.get("plot")
         coords: list[tuple[int, int]] = []
         if "patch" in entry:
             x0, z0, w, h = (int(v) for v in entry["patch"])
@@ -66,34 +82,33 @@ def layout_from_dict(doc: dict[str, Any]) -> Layout:
         for (x, z) in coords:
             if (x, z) in cells:
                 raise LayoutError(f"overlapping cells at ({x}, {z})")
-            owner = area_of(areas, x, z)
-            cells[(x, z)] = BlockCell(kind=kind, growth_stage=stage, owner_area=owner, plot=plot)
+            cells[(x, z)] = BlockCell(kind, stage)
 
     agent_starts = [
         (a["name"], a["team"], Position(int(a["start"][0]), 0, int(a["start"][1])))
-        for a in doc.get("agents") or []
+        for a in _entries(doc, "agents")
     ]
     servers = [
         (s["name"], s["team"], Position(int(s["at"][0]), 0, int(s["at"][1])))
-        for s in doc.get("servers") or []
+        for s in _entries(doc, "servers")
     ]
     mobs = [
         (m["kind"], Position(int(m["at"][0]), 0, int(m["at"][1])))
-        for m in doc.get("mobs") or []
+        for m in _entries(doc, "mobs")
     ]
     containers = {
         (int(c["at"][0]), int(c["at"][1])): {k: int(v) for k, v in c["stacks"].items()}
-        for c in doc.get("containers") or []
+        for c in _entries(doc, "containers")
     }
     furnaces = [Position(int(x), 0, int(z)) for x, z in doc.get("furnaces") or []]
     for (x, z) in containers:
         if (x, z) in cells:
             raise LayoutError(f"container overlaps cell at ({x}, {z})")
-        cells[(x, z)] = BlockCell(kind="chest", owner_area=area_of(areas, x, z))
+        cells[(x, z)] = BlockCell("chest")
     for p in furnaces:
         if (p.x, p.z) in cells:
             raise LayoutError(f"furnace overlaps cell at ({p.x}, {p.z})")
-        cells[(p.x, p.z)] = BlockCell(kind="furnace", owner_area=area_of(areas, p.x, p.z))
+        cells[(p.x, p.z)] = BlockCell("furnace")
 
     layout = Layout(
         name=doc["name"],

@@ -8,7 +8,7 @@ drives the scripts, restarting a program whenever it errors out.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from random import Random
 from typing import Optional

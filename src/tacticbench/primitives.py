@@ -8,20 +8,12 @@ behavior through the chat log.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from .actionlang.interp import PrimitiveRequest
-from .scenarios import (
-    CROPS,
-    MOB_DROPS,
-    SABOTAGE_TRANSFORMS,
-    SMELT_TICKS,
-    ScenarioConfig,
-    recipe_lookup,
-    sabotage_transform,
-)
-from .world import AgentBody, BlockCell, Inventory, Position, WorldState
+from .scenarios import CROPS, MOB_DROPS, SMELT_TICKS, ScenarioConfig, sabotage_transform
+from .world import AgentBody, Position, WorldState
 
 SEARCH_RADIUS = 64  # arenas are smaller than this; effectively whole-map search
 FAIL_TICKS = 10  # time lost on a failed primitive
@@ -135,15 +127,17 @@ def _pickup_ground_items(world: WorldState, agent: AgentBody) -> None:
 def _nearest_cell(
     world: WorldState,
     agent: AgentBody,
-    match,
+    kind: str,
     area: str = "any",
+    min_stage: int = 0,
 ) -> Optional[tuple[int, int]]:
-    """The matching cell nearest the agent (Chebyshev, within
-    ``SEARCH_RADIUS``), ties broken by the smaller ``(x, z)``; None if none."""
+    """The ``kind`` cell at growth stage ``min_stage`` or later nearest the
+    agent (Chebyshev, within ``SEARCH_RADIUS``), ties broken by the smaller
+    ``(x, z)``; None if none."""
     ax, az = agent.position.x, agent.position.z
     best: Optional[tuple[int, tuple[int, int]]] = None
     for key, cell in world.cells.items():
-        if not match(cell):
+        if cell.kind != kind or cell.growth_stage < min_stage:
             continue
         x, z = key
         d = max(abs(x - ax), abs(z - az))
@@ -176,23 +170,16 @@ def _prim_mine_block(world, config, agent, args, dur) -> PrimResult:
     total_ticks = 0
     collected: dict[str, int] = {}
     while mined < max_count:
-        pos = _nearest_cell(world, agent, lambda c: c.kind == kind, area)
+        pos = _nearest_cell(world, agent, kind, area)
         if pos is None:
             break
         total_ticks += _walk(world, agent, Position(pos[0], 0, pos[1])) * dur.travel_per_cell
-        cell = world.cells[pos]
-        drops = world.rules.mine_drops(world, pos, kind, agent) if world.rules else {kind: 1}
+        drops = world.rules.mine_drops(world, pos, kind, agent)
         for item, n in drops.items():
             agent.inventory.add(item, n)
             collected[item] = collected.get(item, 0) + n
-        if kind in CROPS:
-            cell.kind = "farmland"
-            cell.growth_stage = 0
-        else:
-            cell.kind = "air"
-            cell.growth_stage = 0
-        if world.rules:
-            world.rules.on_block_removed(world, pos, kind, agent)
+        world.set_block(pos, "farmland" if kind in CROPS else "air")
+        world.rules.on_block_removed(world, pos, kind, agent)
         mined += 1
         total_ticks += dur.mine_per_block
     if mined == 0:
@@ -205,12 +192,12 @@ def _prim_craft_item(world, config, agent, args, dur) -> PrimResult:
     item, count = args[0], args[1]
     if count < 1:
         raise ValueError(f"craftItem count must be >= 1, got {count}")
-    recipe = recipe_lookup(config.recipes, item)
+    recipe = config.recipes.get(item)
     if recipe is None:
         raise ValueError(f"I cannot make {item} because I do not know how")
     travel = 0
     if recipe.needs_table:
-        table = _nearest_cell(world, agent, lambda c: c.kind == "crafting_table")
+        table = _nearest_cell(world, agent, "crafting_table")
         if table is None:
             raise ValueError(f"I cannot make {item} because there is no crafting table nearby")
         travel += _walk(world, agent, Position(*_xz(table))) * dur.travel_per_cell
@@ -248,9 +235,8 @@ def _prim_place_item(world, config, agent, args, dur) -> PrimResult:
         raise ValueError(f"No free cell near ({x}, {z}) to place {item}")
     travel = _walk(world, agent, Position(*_xz(target))) * dur.travel_per_cell
     agent.inventory.remove(item, 1)
-    world.cells[target] = BlockCell(kind=item, owner_area=world.area_of(*target))
-    if world.rules:
-        world.rules.on_block_placed(world, target, item, agent)
+    world.set_block(target, item)
+    world.rules.on_block_placed(world, target, item, agent)
     return _ok(
         world, agent, f"Placed {item} at ({target[0]}, {target[1]})",
         travel + dur.place, value=target,
@@ -307,28 +293,18 @@ def _farm_harvest(world, agent, crop, dur) -> PrimResult:
     ticks = 0
     collected: dict[str, int] = {}
     while done < FARM_CELLS_PER_CALL:
-        pos = _nearest_cell(
-            world, agent,
-            lambda c: c.kind == crop.name and c.growth_stage >= crop.max_stage,
-        )
+        pos = _nearest_cell(world, agent, crop.name, min_stage=crop.max_stage)
         if pos is None:
             break
         ticks += _walk(world, agent, Position(*_xz(pos))) * dur.travel_per_cell
-        cell = world.cells[pos]
         for item, n in crop.harvest_yield.items():
             agent.inventory.add(item, n)
             collected[item] = collected.get(item, 0) + n
-        if crop.replant_consumes_seed:
-            if agent.inventory.count(crop.seed) > 0:
-                agent.inventory.remove(crop.seed, 1)
-                cell.growth_stage = 0
-            else:
-                cell.kind = "farmland"
-                cell.growth_stage = 0
+        if crop.replant_consumes_seed and agent.inventory.remove(crop.seed, 1) == 0:
+            world.set_block(pos, "farmland")
         else:
-            cell.growth_stage = 0
-        if world.rules and hasattr(world.rules, "ensure_growth"):
-            world.rules.ensure_growth(world, pos)
+            world.set_block(pos, crop.name)
+        world.rules.ensure_growth(world, pos)
         done += 1
         ticks += dur.farm_per_cell
     if done == 0:
@@ -341,12 +317,11 @@ def _farm_destroy(world, agent, crop, dur) -> PrimResult:
     done = 0
     ticks = 0
     while done < FARM_CELLS_PER_CALL:
-        pos = _nearest_cell(world, agent, lambda c: c.kind == crop.name)
+        pos = _nearest_cell(world, agent, crop.name)
         if pos is None:
             break
         ticks += _walk(world, agent, Position(*_xz(pos))) * dur.travel_per_cell
-        cell = world.cells[pos]
-        if cell.growth_stage >= crop.max_stage:
+        if world.cells[pos].growth_stage >= crop.max_stage:
             drops = dict(crop.destroy_drops)
         elif crop.replant_consumes_seed:
             drops = {crop.seed: 1}
@@ -354,8 +329,7 @@ def _farm_destroy(world, agent, crop, dur) -> PrimResult:
             drops = {}
         for item, n in drops.items():
             agent.inventory.add(item, n)
-        cell.kind = "farmland"
-        cell.growth_stage = 0
+        world.set_block(pos, "farmland")
         done += 1
         ticks += dur.farm_per_cell
     if done == 0:
@@ -369,17 +343,13 @@ def _farm_plant(world, agent, crop, dur) -> PrimResult:
     done = 0
     ticks = 0
     while done < FARM_CELLS_PER_CALL and agent.inventory.count(crop.seed) > 0:
-        pos = _nearest_cell(world, agent, lambda c: c.kind == "farmland")
+        pos = _nearest_cell(world, agent, "farmland")
         if pos is None:
             break
         ticks += _walk(world, agent, Position(*_xz(pos))) * dur.travel_per_cell
-        cell = world.cells[pos]
         agent.inventory.remove(crop.seed, 1)
-        cell.kind = crop.name
-        cell.growth_stage = 0
-        cell.plot = crop.name
-        if world.rules and hasattr(world.rules, "ensure_growth"):
-            world.rules.ensure_growth(world, pos)
+        world.set_block(pos, crop.name)
+        world.rules.ensure_growth(world, pos)
         done += 1
         ticks += dur.farm_per_cell
     if done == 0:
@@ -419,7 +389,7 @@ def _prim_give_to_player(world, config, agent, args, dur) -> PrimResult:
     agent.inventory.remove(item, k)
     recipient.inventory.add(item, k)
     points = 0
-    if recipient.stationary and world.rules:
+    if recipient.stationary:
         points = world.rules.hand_in(world, recipient, agent, item, k)
     msg = f"Gave {k} {item} to {player}"
     if points:
@@ -500,7 +470,7 @@ def _prim_signal(world, config, agent, args, dur) -> PrimResult:
 def _prim_transform_farm(world, config, agent, args, dur) -> PrimResult:
     source, target = args[0], args[1]
     needs_hoe = (source, target) in TRANSFORM_NEEDS_HOE
-    nearest = _nearest_cell(world, agent, lambda c: c.kind == source)
+    nearest = _nearest_cell(world, agent, source)
     if nearest is None:
         raise ValueError(f"No {source} cells to convert")
     travel = _walk(world, agent, Position(*_xz(nearest))) * dur.travel_per_cell
@@ -535,6 +505,9 @@ def _free_cell_near(world: WorldState, x: int, z: int) -> Optional[tuple[int, in
                 cell = world.cells.get((cx, cz))
                 if cell is None or cell.kind == "air":
                     if cell is not None:
+                        # drops the cell even when an agent stands here, so a
+                        # regrow timer can no longer find it; sparing it moves
+                        # the golden episode digests
                         del world.cells[(cx, cz)]
                     if any(a.position.x == cx and a.position.z == cz for a in world.agents):
                         continue

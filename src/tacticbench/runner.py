@@ -155,8 +155,11 @@ def run_episode(
         cursors[name] = len(world.chat_log)
 
     def sideline(agent, exc: Exception) -> None:
-        # an erroring agent waits out the episode; its teammate plays on
+        # an erroring agent waits out the episode, and no signal wakes it;
+        # its teammate plays on
         world.broadcast("environment", f"agent {agent.name} system failed: {exc}")
+        agent.waiting_for = None
+        agent.wait_deadline = None
         agent.busy_until = world.duration
 
     def next_visit() -> int:
@@ -246,7 +249,15 @@ def run_episode(
     win_value = {
         t: (1.0 if winner == t else (0.5 if winner == "draw" else 0.0)) for t in teams
     }
-    result = EpisodeResult(
+    wall_seconds = time.perf_counter() - start
+    for team, system in systems.items():
+        opp = [t for t in raw if t != team]
+        opp_points = raw[opp[0]] if opp else 0
+        try:
+            system.post_game(EpisodeScore(team, raw.get(team, 0), opp_points, winner))
+        except Exception as exc:
+            world.broadcast("environment", f"team {team} post_game failed: {exc}")
+    return EpisodeResult(
         scenario=config.name,
         seed=seed,
         ticks=world.duration,
@@ -259,14 +270,6 @@ def run_episode(
         chat_log=list(world.chat_log),
         agent_logs=agent_logs,
         score_log=list(rules.score_log),
-        wall_seconds=time.perf_counter() - start,
+        wall_seconds=wall_seconds,
         disabled_teams=[t for t, ok in active.items() if not ok],
     )
-    for team, system in systems.items():
-        opp = [t for t in raw if t != team]
-        opp_points = raw[opp[0]] if opp else 0
-        try:
-            system.post_game(EpisodeScore(team, raw.get(team, 0), opp_points, winner))
-        except Exception as exc:
-            world.broadcast("environment", f"team {team} post_game failed: {exc}")
-    return result

@@ -2,8 +2,11 @@
 scoring, and sabotage transforms for the two built-in scenarios.
 
 Rule objects attach to a world as ``world.rules`` and receive hooks from the
-primitive engine (block removed/placed/regrown, crop advance) so scenario
-behavior stays out of the simulation kernel.
+primitive engine (block removed/placed/regrown, crop advance, growth
+scheduling) so scenario behavior stays out of the simulation kernel.  The
+primitives call the hooks unguarded, so a world must have its rules set up
+before it executes one.  A cell changes kind only through
+``WorldState.set_block``, which also resets its growth stage.
 """
 from __future__ import annotations
 
@@ -213,6 +216,9 @@ class ScenarioRules:
     def on_crop_advance(self, world: WorldState, pos: tuple[int, int], cell) -> None:
         pass
 
+    def ensure_growth(self, world: WorldState, pos: tuple[int, int]) -> None:
+        """Schedule the growth of a young crop at ``pos``, if the scenario grows crops."""
+
     def mine_drops(self, world: WorldState, pos: tuple[int, int], kind: str, agent) -> dict[str, int]:
         """Items yielded by breaking a block of ``kind`` at ``pos``."""
         return {kind: 1}
@@ -402,19 +408,12 @@ def sabotage_transform(
             ground = world.ground_items.setdefault(pos, type(agent.inventory)())
             for item, n in drops.items():
                 ground.add(item, n)
-        cell.kind = target
-        cell.growth_stage = 0
-        cell.plot = target
+        world.set_block(pos, target)
         converted += 1
-        if isinstance(world.rules, DashAndDineRules):
-            world.rules.ensure_growth(world, pos)
+        world.rules.ensure_growth(world, pos)
     if converted == 0:
         raise ValueError(f"no {source} cells to convert")
     return converted
-
-
-def recipe_lookup(table: dict[str, Recipe], item: str) -> Optional[Recipe]:
-    return table.get(item)
 
 
 # -- Config constructors ----------------------------------------------------

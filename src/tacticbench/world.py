@@ -50,10 +50,6 @@ class Position:
 class BlockCell:
     kind: str
     growth_stage: int = 0
-    owner_area: str = NEUTRAL
-    # original crop/block kind of a farm plot, kept so destroyed crops can
-    # be replanted and sabotage transforms know what lived here
-    plot: Optional[str] = None
 
 
 class Inventory:
@@ -216,7 +212,7 @@ class WorldState:
         self.rng = Random(seed)
         self.seed = seed
         self.cells: dict[tuple[int, int], BlockCell] = {
-            pos: BlockCell(c.kind, c.growth_stage, c.owner_area, c.plot)
+            pos: BlockCell(c.kind, c.growth_stage)
             for pos, c in layout.cells.items()
         }
         self.agents: list[AgentBody] = [
@@ -261,6 +257,12 @@ class WorldState:
 
     def area_of(self, x: int, z: int) -> str:
         return area_of(self.layout.areas, x, z)
+
+    def set_block(self, pos: tuple[int, int], kind: str) -> None:
+        """Make the cell at ``pos`` a ``kind`` block at growth stage 0.  The
+        one way a cell is created or changes kind; replacing a cell keeps its
+        place in the cell order."""
+        self.cells[pos] = BlockCell(kind)
 
     # -- chat -----------------------------------------------------------
 
@@ -344,8 +346,7 @@ class WorldState:
             pos, kind = ev.target
             cell = self.cells.get(pos)
             if cell is not None and cell.kind == "air":
-                cell.kind = kind
-                cell.growth_stage = 0
+                self.set_block(pos, kind)
                 if self.rules is not None:
                     self.rules.on_block_regrown(self, pos, kind)
         elif ev.effect == "crop-advance":
@@ -437,7 +438,7 @@ class WorldState:
         h.update(str(self.tick).encode())
         for pos in sorted(self.cells):
             c = self.cells[pos]
-            h.update(f"{pos}:{c.kind}:{c.growth_stage}:{c.owner_area}".encode())
+            h.update(f"{pos}:{c.kind}:{c.growth_stage}:{self.area_of(*pos)}".encode())
         for a in self.agents:
             h.update(
                 f"{a.name}:{a.position}:{a.health}:{a.hunger}:{sorted(a.inventory.items())}:{a.equipment}:{a.busy_until}".encode()

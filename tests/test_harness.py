@@ -33,6 +33,8 @@ from tacticbench.metrics import (
     latency_stats,
     metric_values,
 )
+from tacticbench.actionlang import PrimitiveRequest, WaitRequest
+from tacticbench.actionlang.parse import Call
 from tacticbench.agents import CoTTeamSystem, TactiCrafterSystem
 from tacticbench.opponents import BuiltinTeamSystem, RandomTeamSystem, builtin, list_builtin
 from tacticbench.runner import build_metadata
@@ -464,7 +466,47 @@ def test_on_result_failure_sidelines_only_that_agent():
     assert red.polls[mate] > 10 and result.scores["red"] > 0
 
 
-def test_post_game_failure_is_broadcast_and_the_result_returned(worlds):
+class _SignalledWaiter:
+    """Ryn waits for a signal from Raze and its ``on_result`` fails at once;
+    Raze idles, signals Ryn on its second turn, then idles again."""
+
+    def __init__(self):
+        self.polls = Counter()
+
+    def pre_game(self, meta, team, observations):
+        pass
+
+    def next_request(self, agent_name, view):
+        self.polls[agent_name] += 1
+        if agent_name == "Ryn":
+            args = ["wait", "Raze", 200]
+        elif self.polls[agent_name] == 2:
+            args = ["send", "Ryn"]
+        else:
+            return WaitRequest(20)
+        return PrimitiveRequest("signal", args, Call("signal", args))
+
+    def on_result(self, agent_name, outcome):
+        if agent_name == "Ryn":
+            raise RuntimeError("on_result crashed while waiting")
+
+    def post_game(self, score):
+        pass
+
+
+def test_a_sidelined_waiter_is_not_woken_by_a_signal():
+    config = get_scenario("mushroom_war", duration_ticks=200)
+    red = _SignalledWaiter()
+    blue = BuiltinTeamSystem(builtin("do_nothing", "mushroom_war"))
+    result = tb_runner.run_episode(config, {"red": red, "blue": blue}, seed=0)
+    chat = [(e.tick, e.sender, e.payload) for e in result.chat_log]
+    assert (0, "environment", "agent Ryn system failed: on_result crashed while waiting") in chat
+    assert (20, "Raze", "Signal sent to Ryn") in chat
+    assert red.polls["Ryn"] == 1 and red.polls["Raze"] > 2
+    assert not [line for line in chat if line[1] == "Ryn" and line[0] > 0]
+
+
+def test_post_game_failure_is_broadcast_and_the_result_returned():
     config = get_scenario("mushroom_war", duration_ticks=300)
     red = _FaultySystem(BuiltinTeamSystem(builtin("passive", "mushroom_war")), "post_game")
     blue = _FaultySystem(BuiltinTeamSystem(builtin("slimy", "mushroom_war")), None)
@@ -472,7 +514,7 @@ def test_post_game_failure_is_broadcast_and_the_result_returned(worlds):
     blue.inner.post_game = ended.append
     result = tb_runner.run_episode(config, {"red": red, "blue": blue}, seed=4)
     assert result.ticks == 300 and set(result.scores) == {"red", "blue"}
-    assert worlds[-1].chat_log[-1].payload == "team red post_game failed: post_game crashed"
+    assert result.chat_log[-1].payload == "team red post_game failed: post_game crashed"
     assert [score.team for score in ended] == ["blue"]  # the other team still learns
 
 
@@ -502,8 +544,8 @@ def test_failed_matchup_is_recorded_and_the_others_complete(tmp_path, monkeypatc
 
 
 class _SidelinedWaiter(_FaultySystem):
-    """Random play whose ``on_result`` fails after a signal wait starts, so a
-    sidelined agent is still waiting when its deadline passes."""
+    """Random play whose ``on_result`` fails after a signal wait starts, so an
+    agent is sidelined while it waits."""
 
     def __init__(self, seed):
         super().__init__(RandomTeamSystem(seed), None)

@@ -382,13 +382,14 @@ def test_every_failure_costs_at_least_one_tick():
 # -- nearest-cell search -------------------------------------------------------
 
 
-def oracle_nearest_cells(world, agent, match, area="any"):
-    """The scan-and-sort that ``_nearest_cell`` replaced: every matching cell
-    within ``SEARCH_RADIUS`` as ``(distance, (x, z))``, nearest first."""
+def oracle_nearest_cells(world, agent, kind, area="any", min_stage=0):
+    """The scan-and-sort that ``_nearest_cell`` replaced: every ``kind`` cell
+    at ``min_stage`` or later within ``SEARCH_RADIUS`` as
+    ``(distance, (x, z))``, nearest first."""
     ax, az = agent.position.x, agent.position.z
     out = []
     for (x, z), cell in world.cells.items():
-        if not match(cell):
+        if cell.kind != kind or cell.growth_stage < min_stage:
             continue
         owner = world.area_of(x, z)
         if area == "own" and owner != agent.team:
@@ -403,9 +404,7 @@ def oracle_nearest_cells(world, agent, match, area="any"):
 
 
 KINDS = ["slime_block", "red_mushroom_block", "wheat", "farmland"]
-MATCHES = [lambda c, k=k: c.kind == k for k in KINDS] + [
-    lambda c: c.kind == "wheat" and c.growth_stage >= 2,
-]
+MATCHES = [(kind, 0) for kind in KINDS] + [("wheat", 2), ("wheat", 3)]
 
 
 @st.composite
@@ -440,10 +439,10 @@ def edited_worlds(draw):
 @given(edited_worlds())
 def test_nearest_cell_matches_scan_and_sort_oracle(world):
     for agent in world.agents:
-        for match in MATCHES:
+        for kind, min_stage in MATCHES:
             for area in ("any", "own", "opponent"):
-                want = oracle_nearest_cells(world, agent, match, area)
-                got = _nearest_cell(world, agent, match, area)
+                want = oracle_nearest_cells(world, agent, kind, area, min_stage)
+                got = _nearest_cell(world, agent, kind, area, min_stage)
                 assert got == (want[0][1] if want else None)
 
 
@@ -454,5 +453,5 @@ def test_nearest_cell_breaks_distance_ties_on_x_then_z():
     agent.position = Position(10, 0, 5)
     for key in [(12, 5), (10, 7), (10, 3), (8, 7), (8, 3)]:  # all at distance 2
         world.cells[key] = BlockCell("wheat")
-    assert _nearest_cell(world, agent, lambda c: c.kind == "wheat") == (8, 3)
-    assert oracle_nearest_cells(world, agent, lambda c: c.kind == "wheat")[0][1] == (8, 3)
+    assert _nearest_cell(world, agent, "wheat") == (8, 3)
+    assert oracle_nearest_cells(world, agent, "wheat")[0][1] == (8, 3)

@@ -255,20 +255,46 @@ cells:
         load_layout_text(bad)
 
 
+TINY_ENTRIES = {
+    "cells": "{kind: slime_block, at: [1, 1], stage: 0}",
+    "agents": "{name: A, team: red, start: [0, 0]}",
+    "servers": "{name: S, team: red, at: [1, 0]}",
+    "mobs": "{kind: pig, at: [2, 2]}",
+    "containers": "{at: [0, 3], stacks: {egg: 1}}",
+}
+
+
+def tiny_layout(bad: str = "") -> str:
+    """A valid four-by-four layout with one entry of each kind.  ``bad``
+    names the top level or an entry kind that gets a stray ``plot`` key."""
+    lines = ["schema_version: 1", "name: tiny", "width: 4", "depth: 4",
+             "areas: {red: [0, 0, 1, 3], blue: [2, 0, 3, 3]}"]
+    if bad == "top":
+        lines.append("plot: wheat")
+    for key, entry in TINY_ENTRIES.items():
+        if key == bad:
+            entry = entry[:-1] + ", plot: wheat}"
+        lines.append(f"{key}: [{entry}]")
+    return "\n".join(lines)
+
+
 def test_layout_rejects_unknown_keys():
-    bad = """
-schema_version: 1
-name: tiny
-width: 4
-depth: 4
-bogus: 1
-areas:
-  red: [0, 0, 1, 3]
-  blue: [2, 0, 3, 3]
-agents: []
-"""
-    with pytest.raises(LayoutError):
-        load_layout_text(bad)
+    assert load_layout_text(tiny_layout()).name == "tiny"
+    with pytest.raises(LayoutError, match=r"unknown layout keys: \['plot'\]"):
+        load_layout_text(tiny_layout("top"))
+    for entry in TINY_ENTRIES:
+        with pytest.raises(LayoutError, match=rf"unknown keys in a {entry} entry: \['plot'\]"):
+            load_layout_text(tiny_layout(entry))
+
+
+def test_set_block_creates_or_replaces_a_cell_at_stage_zero(mw_world):
+    mw_world.cells[(0, 0)] = BlockCell("wheat", growth_stage=3)
+    mw_world.set_block((0, 0), "farmland")
+    mw_world.set_block((1, 0), "wheat")
+    assert mw_world.cells[(0, 0)] == BlockCell("farmland", 0)
+    assert mw_world.cells[(1, 0)] == BlockCell("wheat", 0)
+    assert list(mw_world.cells)[-2:] == [(0, 0), (1, 0)]  # a replaced cell keeps its place
+    assert not mw_world.pending_timers()  # growth is the rules' job, not the world's
 
 
 def test_builtin_layouts_have_mirrored_block_budgets():

@@ -15,7 +15,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import yaml
 
@@ -32,6 +32,7 @@ from .metrics import MatchupMetrics, MetricsReport, compute_metrics, metric_valu
 from .opponents import BuiltinTeamSystem, RandomTeamSystem, builtin, list_builtin, script_text
 from .runner import EpisodeResult, run_episode
 from .scenarios import SCENARIO_NAMES, ScenarioConfig, get_scenario
+from .systems import TeamSystem
 from .world import new_world
 
 CALIBRATION_EPISODES = 20
@@ -283,6 +284,21 @@ class BenchmarkOutput:
     failed_matchups: list[str]
 
 
+def play_repeat(
+    config: RunConfig, scenario_config: ScenarioConfig, opponent: str, repeat: int
+) -> Iterator[tuple[int, TeamSystem, EpisodeResult]]:
+    """Play one repeat of the red system against a builtin ``opponent``,
+    yielding ``(episode, red, result)`` after each episode.  One fresh red
+    system plays every episode, so it learns between them; ``run_benchmark``
+    and ``tacticbench replay`` both play through here."""
+    scenario = scenario_config.name
+    red = make_system(config.red_system, scenario, config.client.build, config.seed + repeat)
+    blue = BuiltinTeamSystem(builtin(opponent, scenario))
+    for episode in range(config.episodes):
+        seed = episode_seed(config.seed, scenario, opponent, repeat, episode)
+        yield episode, red, run_episode(scenario_config, {"red": red, "blue": blue}, seed)
+
+
 def run_benchmark(config: RunConfig, folder_name: Optional[str] = None) -> BenchmarkOutput:
     folder = RunFolder(config.output_dir, folder_name)
     folder.write_config(config)
@@ -298,13 +314,7 @@ def run_benchmark(config: RunConfig, folder_name: Optional[str] = None) -> Bench
             results: list[EpisodeResult] = []
             try:
                 for repeat in range(config.repeats):
-                    red = make_system(
-                        config.red_system, scenario, config.client.build, config.seed + repeat
-                    )
-                    blue = BuiltinTeamSystem(builtin(opponent, scenario))
-                    for episode in range(config.episodes):
-                        seed = episode_seed(config.seed, scenario, opponent, repeat, episode)
-                        result = run_episode(scenario_config, {"red": red, "blue": blue}, seed)
+                    for episode, red, result in play_repeat(config, scenario_config, opponent, repeat):
                         results.append(result)
                         row = _episode_row(scenario, config.red_system, opponent, repeat, episode, result)
                         rows.append(row)

@@ -5,7 +5,7 @@ Verbs:
   calibrate  baseline sigma for a scenario/opponent pair
   adapt      same-vs-different opponent adaptation protocol
   selfplay   self-play with periodic checkpoint evaluations
-  replay     re-run one recorded episode and verify its scores
+  replay     re-run one recorded episode and verify its record
   export     regenerate CSV artifacts from an existing run folder
   opponents  list built-in opponent names per scenario
 
@@ -22,15 +22,14 @@ from pathlib import Path
 from .agents.client import API_KEY_ENV
 from .bench import (
     RunConfig,
+    _episode_row,
     adaptation_protocol,
     calibrate_sigma,
-    episode_seed,
-    make_system,
+    play_repeat,
     run_benchmark,
     self_play_protocol,
 )
-from .opponents import BuiltinTeamSystem, builtin, list_builtin
-from .runner import run_episode
+from .opponents import list_builtin
 from .scenarios import SCENARIO_NAMES, get_scenario
 
 
@@ -84,19 +83,22 @@ def _cmd_replay(args) -> int:
     row = json.loads(episode_path.read_text())
     run_dir = episode_path.parent.parent
     config = RunConfig.from_dict(json.loads((run_dir / "config.json").read_text()))
-    scenario = row["scenario"]
-    scenario_config = get_scenario(scenario)
-    red = make_system(config.red_system, scenario, config.client.build, config.seed + row["repeat"])
-    blue = BuiltinTeamSystem(builtin(row["blue"], scenario))
-    result = None
-    for episode in range(row["episode"] + 1):  # consecutive episodes rebuild system state
-        seed = episode_seed(config.seed, scenario, row["blue"], row["repeat"], episode)
-        result = run_episode(scenario_config, {"red": red, "blue": blue}, seed)
-    assert result is not None
-    match = result.scores == row["scores"] and result.winner == row["winner"]
+    scenario, blue, repeat = row["scenario"], row["blue"], row["repeat"]
+    # the repeat's earlier episodes rebuild the red system's learned state
+    plays = play_repeat(config, get_scenario(scenario), blue, repeat)
+    result = next((result for episode, _, result in plays if episode == row["episode"]), None)
+    if result is None:
+        raise ValueError(f"{episode_path.name}: episode {row['episode']} is beyond the run config")
+    replayed = _episode_row(scenario, config.red_system, blue, repeat, row["episode"], result)
+    replayed = json.loads(json.dumps(replayed))
+    fields = sorted(set(row) | set(replayed))
+    differ = [k for k in fields if k != "wall_seconds" and row.get(k) != replayed.get(k)]
     print(f"replayed {episode_path.name}: scores={result.scores} winner={result.winner}")
-    print("verified: scores match" if match else "MISMATCH against recorded episode")
-    return 0 if match else 1
+    if differ:
+        print(f"MISMATCH against recorded episode in: {', '.join(differ)}")
+        return 1
+    print("verified: scores match, and so does every other recorded field but wall_seconds")
+    return 0
 
 
 def _cmd_export(args) -> int:

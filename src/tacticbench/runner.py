@@ -23,7 +23,7 @@ from .systems import (
     ScenarioMetadata,
     TeamSystem,
 )
-from .world import OBSERVE_RADIUS, Event, WorldState, new_world
+from .world import Event, new_world
 
 SCENARIO_BLURBS = {
     MUSHROOM_WAR: (
@@ -84,34 +84,12 @@ class EpisodeResult:
     scores: dict[str, int]  # raw points per team
     reported: dict[str, float]  # raw points scaled by the scenario report scale
     winner: str  # team id or "draw"
-    win_value: dict[str, float]  # 1 / 0.5 / 0 per team
     timelines: dict[str, list[tuple[int, int]]]
     first_score_tick: Optional[int]
     chat_log: list[Event]
-    agent_logs: dict[str, list[Event]]
     score_log: list
     wall_seconds: float
     disabled_teams: list[str] = field(default_factory=list)
-
-
-def _observe_event(world: WorldState, agent_name: str) -> Event:
-    """Kind counts of the nearby non-air cells (keys in the ``(x, z)`` order
-    of the cells), the sorted kinds of the nearby live mobs, the inventory
-    and the position: what ``observe`` shows, without building it."""
-    agent = world.agent(agent_name)
-    x, z = agent.position.x, agent.position.z
-    cells = world.cells
-    blocks: dict[str, int] = {}
-    for key in world.nearby_cell_keys(x, z, OBSERVE_RADIUS):
-        kind = cells[key].kind
-        blocks[kind] = blocks.get(kind, 0) + 1
-    payload = {
-        "blocks": blocks,
-        "mobs": sorted({kind for kind, _ in world.nearby_mobs(x, z, OBSERVE_RADIUS)}),
-        "inventory": agent.inventory.as_dict(),
-        "position": (x, z),
-    }
-    return Event(kind="observe", tick=world.tick, sender=agent_name, payload=payload)
 
 
 def run_episode(
@@ -128,6 +106,10 @@ def run_episode(
     driving a single agent sidelines only that agent, and the episode
     still completes.  The clock skips the ticks at which no agent is free,
     no wait times out and no timer fires: nothing happens on them.
+
+    Each poll hands the agent, as ``view.new_events``, the lines of
+    ``world.chat_log`` broadcast since its previous poll: chat only.  Lines
+    broadcast after an agent's last poll of the episode reach no system.
     """
     start = time.perf_counter()
     world = new_world(config.layout, seed)
@@ -146,13 +128,7 @@ def run_episode(
             world.broadcast("environment", f"team {team} system failed: {exc}")
 
     movers = [a for a in world.agents if not a.stationary]
-    cursors = {a.name: 0 for a in movers}
-    agent_logs: dict[str, list[Event]] = {a.name: [] for a in movers}
-
-    def sync_chat(name: str) -> None:
-        log = agent_logs[name]
-        log.extend(world.chat_log[cursors[name] :])
-        cursors[name] = len(world.chat_log)
+    cursors = {a.name: 0 for a in movers}  # chat lines each agent has been handed
 
     def sideline(agent, exc: Exception) -> None:
         # an erroring agent waits out the episode, and no signal wakes it;
@@ -193,13 +169,13 @@ def run_episode(
                     continue
             if agent.busy_until is not None and world.tick < agent.busy_until:
                 continue
-            prev = len(agent_logs[agent.name])
-            sync_chat(agent.name)
+            new_events = world.chat_log[cursors[agent.name] :]
+            cursors[agent.name] = len(world.chat_log)
             view = AgentView(
                 tick=world.tick,
                 duration=world.duration,
                 agent_name=agent.name,
-                new_events=agent_logs[agent.name][prev:],
+                new_events=new_events,
                 inventory=agent.inventory.copy(),
                 observe=partial(world.observe, agent.name),
             )
@@ -224,7 +200,6 @@ def run_episode(
                 res = execute(world, config, agent, req, durations)
                 if not res.blocking:
                     agent.busy_until = world.tick + res.duration
-                agent_logs[agent.name].append(_observe_event(world, agent.name))
                 outcome = ExecOutcome(res.ok, res.message, res.duration, req)
             else:
                 sideline(agent, TypeError(f"bad request {req!r}"))
@@ -238,17 +213,11 @@ def run_episode(
             world.skip_idle(nxt)
         world.step_tick()
 
-    for name in cursors:
-        sync_chat(name)
-
     raw = {team: rules.scores[team].points for team in rules.scores}
     teams = sorted(raw)
     best = max(raw.values())
     leaders = [t for t in teams if raw[t] == best]
     winner = leaders[0] if len(leaders) == 1 else "draw"
-    win_value = {
-        t: (1.0 if winner == t else (0.5 if winner == "draw" else 0.0)) for t in teams
-    }
     wall_seconds = time.perf_counter() - start
     for team, system in systems.items():
         opp = [t for t in raw if t != team]
@@ -264,11 +233,9 @@ def run_episode(
         scores=raw,
         reported={t: raw[t] * config.report_scale for t in teams},
         winner=winner,
-        win_value=win_value,
         timelines={t: list(rules.scores[t].timeline) for t in teams},
         first_score_tick=rules.score_log[0].tick if rules.score_log else None,
         chat_log=list(world.chat_log),
-        agent_logs=agent_logs,
         score_log=list(rules.score_log),
         wall_seconds=wall_seconds,
         disabled_teams=[t for t, ok in active.items() if not ok],

@@ -556,14 +556,28 @@ class _SidelinedWaiter(_FaultySystem):
         self.inner.on_result(agent_name, outcome)
 
 
-def _episode_digest(result, world):
+def _episode_digest(result, world, systems):
     return (
         [(e.tick, e.sender, e.payload) for e in result.chat_log],
-        result.agent_logs,
+        systems["red"].polls,
+        systems["blue"].polls,
         result.scores,
         result.timelines,
         world.state_hash(),
     )
+
+
+def _assert_chat_delivered(result, systems):
+    """Each agent is handed chat only, in broadcast order, each line once:
+    its ``new_events`` joined over the episode are a prefix of the chat log."""
+    chat = [(e.kind, e.tick, e.sender, e.payload) for e in result.chat_log]
+    for probe in systems.values():
+        handed = {}
+        for _tick, agent, events, *_seen in probe.polls:
+            handed.setdefault(agent, []).extend(events)
+        for agent, events in handed.items():
+            assert all(kind == "chat" for kind, *_ in events), agent
+            assert events == chat[: len(events)], agent
 
 
 JUMP_CASES = [
@@ -577,21 +591,24 @@ JUMP_CASES = [
 def test_skipping_idle_ticks_changes_nothing(worlds, step_ticks, monkeypatch):
     """Oracle: with the timer top reported as always due next tick, the
     runner visits every tick, as a loop without jumps does."""
-    jumped, every_tick, chats = [], [], []
-    for scenario, red, opponent, seed in JUMP_CASES:
+    def play(scenario, red, opponent, seed):
         config = get_scenario(scenario, duration_ticks=600)
-        systems = {"red": red(seed), "blue": BuiltinTeamSystem(builtin(opponent, scenario))}
+        systems = {"red": _ViewProbe(red(seed), record=True),
+                   "blue": _ViewProbe(BuiltinTeamSystem(builtin(opponent, scenario)), record=True)}
         result = tb_runner.run_episode(config, systems, seed)
-        jumped.append(_episode_digest(result, worlds[-1]))
+        _assert_chat_delivered(result, systems)
+        return result, _episode_digest(result, worlds[-1], systems)
+
+    jumped, every_tick, chats = [], [], []
+    for case in JUMP_CASES:
+        result, digest = play(*case)
+        jumped.append(digest)
         chats.extend(e.payload for e in result.chat_log)
     visited = len(step_ticks)
     with monkeypatch.context() as patch:
         patch.setattr(WorldState, "next_timer_tick", lambda self: self.tick + 1)
-        for scenario, red, opponent, seed in JUMP_CASES:
-            config = get_scenario(scenario, duration_ticks=600)
-            systems = {"red": red(seed), "blue": BuiltinTeamSystem(builtin(opponent, scenario))}
-            result = tb_runner.run_episode(config, systems, seed)
-            every_tick.append(_episode_digest(result, worlds[-1]))
+        for case in JUMP_CASES:
+            every_tick.append(play(*case)[1])
     assert len(step_ticks) - visited == 600 * len(JUMP_CASES)
     assert visited < 600 * len(JUMP_CASES)
     for case, a, b in zip(JUMP_CASES, jumped, every_tick):
@@ -614,17 +631,32 @@ def test_idle_mirror_visits_few_ticks(worlds, step_ticks):
 class _ViewProbe:
     """Wraps a system; keeps every view and the inventory it held when
     handed out, then scribbles on that inventory after the inner system
-    has decided."""
+    has decided.  With ``record`` it instead logs, per poll, the tick, the
+    agent, the ``new_events``, the inventory and what the observation shows."""
 
-    def __init__(self, inner, read_observation=False):
+    def __init__(self, inner, read_observation=False, record=False):
         self.inner = inner
         self.read_observation = read_observation
+        self.record = record
         self.views = []
+        self.polls = []
 
     def pre_game(self, meta, team, observations):
         self.inner.pre_game(meta, team, observations)
 
     def next_request(self, agent_name, view):
+        if self.record:
+            obs = view.observation
+            self.polls.append((
+                view.tick,
+                agent_name,
+                [(e.kind, e.tick, e.sender, e.payload) for e in view.new_events],
+                view.inventory.as_dict(),
+                obs.nearby_blocks,
+                obs.nearby_mobs,
+                obs.self_status["position"],
+            ))
+            return self.inner.next_request(agent_name, view)
         if self.read_observation:
             assert view.observation.self_status["time"] == view.tick
         req = self.inner.next_request(agent_name, view)
@@ -715,3 +747,18 @@ def test_cli_replay_verifies_an_episode(mini_run, capsys):
     episode = sorted((output.run_dir / "episodes").glob("*_e1.json"))[0]
     assert cli_main(["replay", str(episode)]) == 0
     assert "verified: scores match" in capsys.readouterr().out
+
+
+def test_cli_replay_reports_an_edited_chat_line(mini_run, tmp_path, capsys):
+    output, _ = mini_run
+    episode = sorted((output.run_dir / "episodes").glob("*_e1.json"))[0]
+    row = json.loads(episode.read_text())
+    assert row["chat"]
+    row["chat"][0][2] += "!"
+    (tmp_path / "episodes").mkdir()
+    (tmp_path / "config.json").write_text((output.run_dir / "config.json").read_text())
+    edited = tmp_path / "episodes" / episode.name
+    edited.write_text(json.dumps(row))
+    assert cli_main(["replay", str(edited)]) == 1
+    out = capsys.readouterr().out
+    assert "MISMATCH" in out and "chat" in out

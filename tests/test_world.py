@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tacticbench.layout import load_builtin_layout, load_layout_text
-from tacticbench.runner import _observe_event
 from tacticbench.world import (
     DEFAULT_EPISODE_TICKS,
     BlockCell,
@@ -162,34 +161,6 @@ def test_observe_matches_sort_every_cell_oracle(world, radius):
         assert obs.nearby_blocks == blocks
         assert all(type(pos) is Position for _, pos in obs.nearby_blocks)
         assert obs.nearby_mobs == mobs
-
-
-def oracle_observe_event(world, agent_name: str) -> Event:
-    """The observe event as the runner built it from a full ``observe``."""
-    obs = world.observe(agent_name)
-    blocks: dict[str, int] = {}
-    for kind, _pos in obs.nearby_blocks:
-        blocks[kind] = blocks.get(kind, 0) + 1
-    payload = {
-        "blocks": blocks,
-        "mobs": sorted({k for k, _ in obs.nearby_mobs}),
-        "inventory": obs.inventory.as_dict(),
-        "position": (obs.self_status["position"].x, obs.self_status["position"].z),
-    }
-    return Event(kind="observe", tick=world.tick, sender=agent_name, payload=payload)
-
-
-@settings(max_examples=150, deadline=None)
-@given(edited_worlds(), st.lists(st.sampled_from(["wheat", "potato", "slime_ball", "coal"]), max_size=6))
-def test_observe_event_matches_the_full_observation_oracle(world, items):
-    for i, item in enumerate(items):
-        world.agents[i % len(world.agents)].inventory.add(item, i + 1)
-    for agent in world.agents:
-        event = _observe_event(world, agent.name)
-        expected = oracle_observe_event(world, agent.name)
-        assert event == expected
-        # prompts render the counts in dict order
-        assert list(event.payload["blocks"]) == list(expected.payload["blocks"])
 
 
 def test_next_timer_tick_and_skip_idle(mw_world):

@@ -20,6 +20,7 @@ from .tacticrafter import (
     Tactics,
     TactiCrafterSystem,
     TagParseError,
+    TeamLog,
     checkpoint_load,
     checkpoint_save,
     compile_program,
@@ -27,6 +28,5 @@ from .tacticrafter import (
     extract_tagged,
     opponent_chat_lines,
     render_events,
-    select_longest_log,
     tactics_init,
 )

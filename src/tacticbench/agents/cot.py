@@ -10,8 +10,8 @@ from ..actionlang import ActionProgram, pretty_print
 # bound here for perfbench/layers.py, which traces them by module
 from ..actionlang import parse_source, validate  # noqa: F401
 from ..systems import AgentView, Request, ScenarioMetadata, ScriptDriver, ScriptTeam
-from ..world import Event
 from .client import ChatClient
+from .dedup import dedup_events
 from .tacticrafter import (
     OBJECTIVES,
     PROGRAM_CLOSE,
@@ -19,12 +19,12 @@ from .tacticrafter import (
     WAIT_LOOP_SOURCE,
     PromptTemplates,
     TagParseError,
+    TeamLog,
     _chat,
     compile_program,
     extract_tagged,
     render_constants,
     render_events,
-    select_longest_log,
 )
 
 
@@ -32,7 +32,7 @@ from .tacticrafter import (
 class _EpisodeMemory:
     programs: str = ""
     error: str = ""
-    logs: dict[str, list[Event]] = field(default_factory=dict)  # per agent
+    log: TeamLog = field(default_factory=TeamLog)
 
 
 def cot_baseline(
@@ -77,11 +77,10 @@ class CoTTeamSystem(ScriptTeam):
             surroundings.append(f"{name}: blocks={kinds} entities={mobs}")
         history = "(first episode)"
         if self._memory.programs:
-            chat = select_longest_log(list(self._memory.logs.values()))
             history = (
                 f"Previous code:\n{self._memory.programs}\n"
                 f"Execution error: {self._memory.error or '(none)'}\n"
-                f"Chat log:\n{render_events(chat)}"
+                f"Chat log:\n{render_events(dedup_events(self._memory.log.events))}"
             )
         prompt = self.templates.fill(
             "p_h",
@@ -109,12 +108,10 @@ class CoTTeamSystem(ScriptTeam):
                 driver.load(program)
                 texts.append(pretty_print(program))
             self.drivers[name] = driver
-        self._memory = _EpisodeMemory(
-            programs="\n\n".join(texts), logs={name: [] for name in agents}
-        )
+        self._memory = _EpisodeMemory(programs="\n\n".join(texts), log=TeamLog(agents))
 
     def next_request(self, agent_name: str, view: AgentView) -> Optional[Request]:
-        self._memory.logs[agent_name].extend(view.new_events)
+        self._memory.log.extend(agent_name, view.new_events)
         driver = self.drivers[agent_name]
         req = driver.next_request(view)
         if req is not None:

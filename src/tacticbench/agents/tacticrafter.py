@@ -105,14 +105,6 @@ class OpponentTactics:
 
 
 @dataclass
-class Critique:
-    text: str
-
-    def to_text(self) -> str:
-        return self.text
-
-
-@dataclass
 class GameDescription:
     team_name: str
     objective: str
@@ -125,12 +117,6 @@ class GameDescription:
     def __post_init__(self) -> None:
         if not self.scenario_description:
             raise ValueError("scenario description must be non-empty")
-
-
-@dataclass
-class History:
-    events: list[Event] = field(default_factory=list)
-    previous_tactics: Optional[Tactics] = None
 
 
 # -- prompt templates --------------------------------------------------------
@@ -158,17 +144,39 @@ class PromptTemplates:
         return template.substitute({k: str(v) for k, v in slots.items()})
 
 
-# -- history rendering -------------------------------------------------------
+# -- history ----------------------------------------------------------------
 
 
-def render_events(events: list[Event], cap: int = HISTORY_EVENT_CAP) -> str:
-    return _format_events(dedup_events(events)[-cap:])
+class TeamLog:
+    """One team's chat log of one episode, kept once.
+
+    Every agent's concatenated ``new_events`` is a prefix of the same
+    episode chat log (see ``runner.run_episode``), so the team keeps the
+    longest prefix it has been handed and, per agent, how many of its
+    lines that agent has seen.
+    """
+
+    def __init__(self, agents=()) -> None:
+        self.events: list[Event] = []
+        self.seen = dict.fromkeys(agents, 0)
+
+    def extend(self, agent: str, new_events: list[Event]) -> None:
+        start = self.seen[agent]
+        self.events.extend(new_events[len(self.events) - start :])
+        self.seen[agent] = start + len(new_events)
+
+    def view(self, agent: str) -> list[Event]:
+        """The lines ``agent`` has been handed so far."""
+        return self.events[: self.seen[agent]]
 
 
-def _format_events(compact: list[Event]) -> str:
-    """One line per already-deduplicated event."""
+# The renderers below take a log that ``dedup_events`` already compacted.
+
+
+def render_events(compact: list[Event], cap: int = HISTORY_EVENT_CAP) -> str:
+    """One line per event, the last ``cap`` events only."""
     lines = []
-    for ev in compact:
+    for ev in compact[-cap:]:
         if ev.kind == "chat":
             lines.append(f"[{ev.tick}] {ev.sender}: {ev.payload}")
         else:
@@ -180,9 +188,8 @@ def _format_events(compact: list[Event]) -> str:
     return "\n".join(lines) if lines else "(nothing)"
 
 
-def render_member_history(events: list[Event], members: list[str]) -> str:
+def render_member_history(compact: list[Event], members: list[str]) -> str:
     """Per member: (chat message, inventory at that time) pairs."""
-    compact = dedup_events(events)
     out = []
     for member in members:
         inventory: dict = {}
@@ -197,10 +204,10 @@ def render_member_history(events: list[Event], members: list[str]) -> str:
     return "\n".join(out)
 
 
-def opponent_chat_lines(events: list[Event], opponent_members: list[str]) -> str:
+def opponent_chat_lines(compact: list[Event], opponent_members: list[str]) -> str:
     lines = [
         f"[{ev.tick}] {ev.sender}: {ev.payload}"
-        for ev in dedup_events(events)
+        for ev in compact
         if ev.kind == "chat" and ev.sender in opponent_members
     ]
     return "\n".join(lines) if lines else "(no opponent messages)"
@@ -251,12 +258,13 @@ def tactics_update(
     client: ChatClient,
     templates: PromptTemplates,
     desc: GameDescription,
-    history: History,
+    compact: list[Event],
     graph: CausalGraph,
     opponent: OpponentTactics,
+    previous: Optional[Tactics],
     temperature: float = 0.3,
 ) -> Tactics:
-    previous = history.previous_tactics or Tactics([FALLBACK_TACTICS_LINE])
+    previous = previous or Tactics([FALLBACK_TACTICS_LINE])
     prompt = templates.fill(
         "p_b",
         team_name=desc.team_name,
@@ -264,7 +272,7 @@ def tactics_update(
         objective=desc.objective,
         agents=", ".join(desc.agents),
         primitives=desc.primitive_docs,
-        history=render_events(history.events),
+        history=render_events(compact),
         causal_graph=graph.serialize() or "(empty)",
         previous_tactics=previous.to_text(),
         opponent_tactics=opponent.to_text(),
@@ -325,7 +333,7 @@ def causal_update(
     client: ChatClient,
     templates: PromptTemplates,
     desc: GameDescription,
-    history: History,
+    compact: list[Event],
     graph: CausalGraph,
     temperature: float = 0.3,
 ) -> CausalGraph:
@@ -333,7 +341,7 @@ def causal_update(
         "p_d",
         team_name=desc.team_name,
         causal_graph=graph.serialize() or "(empty)",
-        history=render_member_history(history.events, desc.agents),
+        history=render_member_history(compact, desc.agents),
     )
     for _ in range(2):
         resp = _chat(client, "causal", prompt, temperature)
@@ -347,18 +355,17 @@ def opponent_update(
     client: ChatClient,
     templates: PromptTemplates,
     desc: GameDescription,
-    history: History,
+    compact: list[Event],
     opponent_members: list[str],
     previous: OpponentTactics,
     temperature: float = 0.3,
 ) -> OpponentTactics:
-    chat_lines = opponent_chat_lines(history.events, opponent_members)
     prompt = templates.fill(
         "p_e",
         opponent_name=desc.opponent_name,
         scenario=desc.scenario_description,
         objective=desc.objective,
-        opponent_chat=chat_lines,
+        opponent_chat=opponent_chat_lines(compact, opponent_members),
         previous_opponent_tactics=previous.to_text(),
     )
     resp = _chat(client, "opponent", prompt, temperature)
@@ -369,17 +376,6 @@ def opponent_update(
         return OpponentTactics(Tactics.parse(text).lines)
     except TagParseError:
         return previous
-
-
-def select_longest_log(agent_logs: list[list[Event]]) -> list[Event]:
-    """The most complete log; ties go to the lowest agent index."""
-    if not agent_logs:
-        raise ValueError("need at least one log")
-    best = agent_logs[0]
-    for candidate in agent_logs[1:]:
-        if len(candidate) > len(best):
-            best = candidate
-    return best
 
 
 # -- checkpoints -------------------------------------------------------------
@@ -454,10 +450,8 @@ class _BaseAgent:
         self.iterations = 0
         self.parse_failures = 0
         self.benched = False
-        self.critique = Critique("")
-        self.events: list[Event] = []
-        self.compact: list[Event] = []  # dedup_events(events) at the last regeneration
-        self.last_error = ""
+        self.critique = ""
+        self.compact: list[Event] = []  # its deduplicated lines at the last regeneration
 
 
 class TactiCrafterSystem(ScriptTeam):
@@ -475,8 +469,7 @@ class TactiCrafterSystem(ScriptTeam):
         self._agents: dict[str, _BaseAgent] = {}
         self._desc: Optional[GameDescription] = None
         self._meta: Optional[ScenarioMetadata] = None
-        self._team = ""
-        self._last_history = History()
+        self._log = TeamLog()  # the current episode's, or else the last one's
         self.idle_ticks_charged = 0
         self.iteration_counts: dict[str, int] = {}
 
@@ -484,7 +477,6 @@ class TactiCrafterSystem(ScriptTeam):
 
     def pre_game(self, metadata: ScenarioMetadata, team_id: str, initial_obs) -> None:
         self._meta = metadata
-        self._team = team_id
         opponent = metadata.opponent_of(team_id)
         self._desc = GameDescription(
             team_name=team_id,
@@ -503,16 +495,16 @@ class TactiCrafterSystem(ScriptTeam):
             self.tactics = tactics_init(
                 self.client, self.templates, self._desc, self.graph, self.temperature
             )
-        elif self._last_history.events:
-            history = self._last_history
+        elif self._log.events:
+            compact = dedup_events(self._log.events)
             self.graph = causal_update(
-                self.client, self.templates, self._desc, history, self.graph, self.temperature
+                self.client, self.templates, self._desc, compact, self.graph, self.temperature
             )
             self.opponent_tactics = opponent_update(
                 self.client,
                 self.templates,
                 self._desc,
-                history,
+                compact,
                 list(self._meta.teams[opponent]),
                 self.opponent_tactics,
                 self.temperature,
@@ -521,14 +513,16 @@ class TactiCrafterSystem(ScriptTeam):
                 self.client,
                 self.templates,
                 self._desc,
-                history,
+                compact,
                 self.graph,
                 self.opponent_tactics,
+                self.tactics,
                 self.temperature,
             )
         self._agents = {
             name: _BaseAgent(name, i) for i, name in enumerate(metadata.teams[team_id])
         }
+        self._log = TeamLog(self._agents)
         self.drivers = {name: agent.driver for name, agent in self._agents.items()}
         # first roll-out iteration happens pre-game: no latency cost in-sim
         for agent in self._agents.values():
@@ -545,12 +539,8 @@ class TactiCrafterSystem(ScriptTeam):
             causal_graph=self.graph.serialize() or "(empty)",
             primitives=self._desc.primitive_docs,
             constants=render_constants(self._desc.constants),
-            history=(
-                _format_events(agent.compact[-HISTORY_EVENT_CAP:])
-                if agent.compact
-                else "(episode start)"
-            ),
-            critique=agent.critique.to_text() or "(none)",
+            history=render_events(agent.compact) if agent.compact else "(episode start)",
+            critique=agent.critique or "(none)",
         )
 
     def _generate_program(self, agent: _BaseAgent, charge_latency: bool) -> None:
@@ -604,29 +594,26 @@ class TactiCrafterSystem(ScriptTeam):
             team_name=self._desc.team_name,
             tactics=self.tactics.to_text() if self.tactics else FALLBACK_TACTICS_LINE,
             status_report="\n".join(f"{k}: {v}" for k, v in status.items()),
-            error=agent.last_error or "(completed without error)",
+            error=agent.driver.error_message or "(completed without error)",
         )
         resp = _chat(self.client, "critic", prompt, self.temperature)
-        agent.critique = Critique(resp.text.strip())
+        agent.critique = resp.text.strip()
 
     # -- game phase ---------------------------------------------------
 
     def next_request(self, agent_name: str, view: AgentView) -> Optional[Request]:
         agent = self._agents[agent_name]
-        agent.events.extend(view.new_events)
+        self._log.extend(agent_name, view.new_events)
         req = agent.driver.next_request(view)
         if req is not None:
             return req
         if agent.benched or view.tick >= view.duration:
             return None
         # program ended (error or clean completion): critique and regenerate
-        agent.last_error = agent.driver.error_message or ""
-        agent.compact = dedup_events(agent.events)
+        agent.compact = dedup_events(self._log.view(agent_name))
         self._criticize(agent, view)
         self._generate_program(agent, charge_latency=True)
         return agent.driver.next_request(view)
 
     def post_game(self, score) -> None:
-        logs = [self._agents[n].events for n in self._meta.teams[self._team]]
         self.iteration_counts = {n: self._agents[n].iterations for n in self._agents}
-        self._last_history = History(events=select_longest_log(logs), previous_tactics=self.tactics)

@@ -4,7 +4,8 @@ Outputs per run folder:
   matchup_matrix.csv   one row per red-vs-blue matchup with P/S/D/W
   timeline_<scenario>.csv  mean red points per tick per blue opponent with
                            a confidence band (alpha = 0.05, normal approx)
-  metrics_summary.json / .csv  matchup and aggregate metrics
+  metrics_summary.json  matchup and aggregate metrics
+  metrics_summary.csv   the rows of matchup_matrix.csv
 """
 from __future__ import annotations
 
@@ -59,14 +60,7 @@ def write_metrics_summary(run_dir: Path, report: MetricsReport) -> None:
             "n_episodes": aggregate.n_episodes,
         }
     (run_dir / "metrics_summary.json").write_text(json.dumps(data, indent=2, sort_keys=True))
-    with open(run_dir / "metrics_summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scenario", "red", "blue", "n_episodes", "P", "S", "D", "W"])
-        for m in data["matchups"]:
-            writer.writerow(
-                [m["scenario"], m["red"], m["blue"], m["n_episodes"],
-                 f"{m['P']:.6g}", f"{m['S']:.6g}", f"{m['D']:.6g}", f"{m['W']:.6g}"]
-            )
+    write_matchup_matrix(run_dir / "metrics_summary.csv", report)
 
 
 def _points_per_tick(timeline: list[list[int]], ticks: int) -> np.ndarray:

@@ -42,7 +42,6 @@ class PrimResult:
     message: str
     duration: int = 1
     value: Any = None
-    chest_contents: Optional[dict[str, int]] = None
     blocking: bool = False  # waiting on a signal; runner resolves the wake-up
 
     def __post_init__(self) -> None:
@@ -96,10 +95,9 @@ def _ok(
     message: str,
     duration: int,
     value: Any = None,
-    **extra,
 ) -> PrimResult:
     world.broadcast(agent.name, message)
-    return PrimResult(ok=True, message=message, duration=duration, value=value, **extra)
+    return PrimResult(ok=True, message=message, duration=duration, value=value)
 
 
 # -- movement helpers -------------------------------------------------------
@@ -409,10 +407,7 @@ def _prim_use_chest(world, config, agent, args, dur) -> PrimResult:
     travel = _walk(world, agent, Position(x, 0, z)) * dur.travel_per_cell
     ticks = travel + dur.chest
     if mode == "check":
-        return _ok(
-            world, agent, f"Checked chest at ({x}, {z})", ticks,
-            value=chest.as_dict(), chest_contents=chest.as_dict(),
-        )
+        return _ok(world, agent, f"Checked chest at ({x}, {z})", ticks, value=chest.as_dict())
     if item is None:
         raise ValueError(f"useChest {mode} requires an item and count")
     if mode == "get":

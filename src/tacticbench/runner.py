@@ -108,8 +108,10 @@ def run_episode(
     no wait times out and no timer fires: nothing happens on them.
 
     Each poll hands the agent, as ``view.new_events``, the lines of
-    ``world.chat_log`` broadcast since its previous poll: chat only.  Lines
-    broadcast after an agent's last poll of the episode reach no system.
+    ``world.chat_log`` broadcast since its previous poll: chat only.  So
+    every agent's concatenated ``new_events`` is a prefix of the same
+    episode chat log; ``agents.TeamLog`` relies on this.  Lines broadcast
+    after an agent's last poll of the episode reach no system.
     """
     start = time.perf_counter()
     world = new_world(config.layout, seed)

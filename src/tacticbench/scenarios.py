@@ -127,14 +127,6 @@ CROPS: dict[str, CropKind] = {
     ]
 }
 
-# Dash & Dine sabotage transforms per built-in opponent, (source, target, needs_hoe).
-SABOTAGE_TRANSFORMS: dict[str, list[tuple[str, str, bool]]] = {
-    "berries": [("potatoes", "sweet_berry_bush", False), ("beetroots", "sweet_berry_bush", False)],
-    "cake_beetroot": [("melon", "beetroots", False), ("pumpkin", "beetroots", False)],
-    "melon_pumpkin": [],
-    "potato_cookie": [("sweet_berry_bush", "potatoes", True), ("carrots", "wheat", False)],
-}
-
 
 @dataclass
 class RegrowConfig:

@@ -54,8 +54,7 @@ class AgentView:
     on its first read and valid only while ``next_request`` runs: once the
     call returns the runner closes the view, and any later read raises.
     ``inventory`` is a copy of the agent's inventory taken when the view was
-    made, so changing it changes nothing in the episode.  Tests may pass an
-    eager ``observation`` instead.
+    made, so changing it changes nothing in the episode.
     """
 
     def __init__(
@@ -63,20 +62,17 @@ class AgentView:
         tick: int,
         duration: int,
         agent_name: str,
-        observation: Optional[Observation] = None,
-        new_events: Optional[list[Event]] = None,
+        new_events: list[Event],
         *,
-        inventory: Optional[Inventory] = None,
-        observe: Optional[Callable[[], Observation]] = None,
+        inventory: Inventory,
+        observe: Callable[[], Observation],
     ) -> None:
-        if observation is None and (observe is None or inventory is None):
-            raise ValueError("AgentView needs an observation, or an inventory and an observe callable")
         self.tick = tick
         self.duration = duration
         self.agent_name = agent_name
-        self.new_events = [] if new_events is None else new_events
-        self.inventory = observation.inventory if inventory is None else inventory
-        self._observation = observation
+        self.new_events = new_events
+        self.inventory = inventory
+        self._observation: Optional[Observation] = None
         self._observe = observe
         self._closed = False
 

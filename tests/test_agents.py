@@ -27,6 +27,7 @@ from tacticbench.agents import (
     TactiCrafterSystem,
     Tactics,
     TagParseError,
+    TeamLog,
     TransportError,
     checkpoint_load,
     checkpoint_save,
@@ -40,7 +41,6 @@ from tacticbench.agents import (
     opponent_chat_lines,
     parse_relation_line,
     render_events,
-    select_longest_log,
     tactics_init,
 )
 from tacticbench.opponents import BuiltinTeamSystem, builtin
@@ -111,6 +111,37 @@ def test_dedup_output_is_a_subsequence(events):
 @given(chat_logs)
 def test_dedup_never_grows_the_log(events):
     assert len(dedup_events(events)) <= len(events)
+
+
+# -- team log --------------------------------------------------------------------
+
+
+@st.composite
+def team_deliveries(draw):
+    """An episode log, each agent's deliveries of it (consecutive slices
+    from its start, some empty) and one interleaving of those deliveries."""
+    log = [chat("A", f"m{i}", tick=i) for i in range(draw(st.integers(0, 30)))]
+    agents = ["Ryn", "Kai", "Zed"][: draw(st.integers(1, 3))]
+    slices = {}
+    for name in agents:
+        bounds = [0, *sorted(draw(st.lists(st.integers(0, len(log)), max_size=8)))]
+        slices[name] = [log[a:b] for a, b in zip(bounds, bounds[1:])]
+    order = draw(st.permutations([name for name in agents for _ in slices[name]]))
+    return log, slices, order
+
+
+@settings(max_examples=200, deadline=None)
+@given(team_deliveries())
+def test_team_log_keeps_the_longest_prefix_once(case):
+    log, slices, order = case
+    team = TeamLog(slices)
+    pending = {name: iter(parts) for name, parts in slices.items()}
+    for name in order:
+        team.extend(name, next(pending[name]))
+    handed = {name: [ev for part in parts for ev in part] for name, parts in slices.items()}
+    assert team.events == log[: max(len(events) for events in handed.values())]
+    for name, events in handed.items():
+        assert team.view(name) == events
 
 
 # -- causal graph ----------------------------------------------------------------
@@ -219,12 +250,6 @@ def test_opponent_chat_lines_excludes_own_team():
     events = [chat("Ryn", "ours"), chat("Byte", "theirs"), chat("environment", "sys")]
     text = opponent_chat_lines(events, ["Byte", "Blink"])
     assert "theirs" in text and "ours" not in text and "sys" not in text
-
-
-def test_select_longest_log_breaks_ties_low():
-    a, b = [chat("A", "x")], [chat("B", "y")]
-    assert select_longest_log([a, b]) is a
-    assert select_longest_log([a, a + b]) == a + b
 
 
 def test_render_events_handles_empty_and_caps():
@@ -513,13 +538,17 @@ def test_cot_remembers_each_chat_line_once():
     system = CoTTeamSystem(make_mock_client())
     systems = {"red": system, "blue": BuiltinTeamSystem(builtin("berries", "dash_and_dine"))}
     result = run_episode(get_scenario("dash_and_dine", duration_ticks=600), systems, 2)
-    remembered = [
-        e
-        for e in select_longest_log(list(system._memory.logs.values()))
-        if e.kind == "chat"
-    ]
+    remembered = [e for e in system._memory.log.events if e.kind == "chat"]
     # lines broadcast after the team's last turn are never shown to it
     assert remembered and remembered == result.chat_log[: len(remembered)]
+
+
+def test_tacticrafter_remembers_the_episode_as_one_prefix_of_the_chat_log():
+    system = TactiCrafterSystem(make_mock_client())
+    result = _short_episode(system, scenario="dash_and_dine", ticks=600)
+    remembered = system._log.events
+    assert remembered and remembered == result.chat_log[: len(remembered)]
+    assert max(system._log.seen.values()) == len(remembered)
 
 
 def test_mock_responder_adapts_to_scenario_keywords():

@@ -322,7 +322,9 @@ def test_run_folder_is_complete(mini_run):
     assert (run_dir / "config.json").exists()
     assert (run_dir / "calibration.json").exists()
     assert (run_dir / "metrics_summary.json").exists()
-    assert (run_dir / "metrics_summary.csv").exists()
+    assert (run_dir / "metrics_summary.csv").read_bytes() == (
+        run_dir / "matchup_matrix.csv"
+    ).read_bytes()
     episodes = sorted((run_dir / "episodes").glob("*.json"))
     assert len(episodes) == 4  # 2 opponents x 1 repeat x 2 episodes
     row = json.loads(episodes[0].read_text())

@@ -1,6 +1,7 @@
 """Built-in scripted opponents and the random baseline."""
 from __future__ import annotations
 
+from functools import partial
 from random import Random
 
 import pytest
@@ -224,8 +225,9 @@ def _view(scenario: str, agent: str = "Ryn") -> tuple[AgentView, object]:
         tick=0,
         duration=world.duration,
         agent_name=agent,
-        observation=world.observe(agent),
         new_events=[],
+        inventory=world.agent(agent).inventory.copy(),
+        observe=partial(world.observe, agent),
     )
     return view, metadata
 

@@ -274,7 +274,7 @@ def test_chest_get_deposit_check_round_trip():
     res = run(world, config, "Ryn", req("useChest", "deposit", 9, 17, "bowl", 1))
     assert res.ok and agent.inventory.count("bowl") == 1
     res = run(world, config, "Ryn", req("useChest", "check", 9, 17))
-    assert res.ok and res.chest_contents == {"bowl": 7}
+    assert res.ok and res.value == {"bowl": 7}
 
 
 def test_chest_get_caps_at_contents():

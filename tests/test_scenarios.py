@@ -12,7 +12,6 @@ from tacticbench.scenarios import (
     DEFAULT_FOOD_POINTS,
     DEFAULT_RECIPES,
     MAX_UNIQUE_FOOD_TYPES,
-    SABOTAGE_TRANSFORMS,
     SLIME_ELIGIBILITY_MAX,
     get_scenario,
     make_rules,
@@ -195,11 +194,6 @@ def test_crops_advance_through_growth_stages():
         world.step_tick()
     stages = [world.cells[p].growth_stage for p in immature]
     assert all(s == 3 for s in stages)  # plenty of time to fully regrow
-
-
-def test_sabotage_transform_map_is_asymmetric():
-    assert SABOTAGE_TRANSFORMS["melon_pumpkin"] == []
-    assert ("sweet_berry_bush", "potatoes", True) in SABOTAGE_TRANSFORMS["potato_cookie"]
 
 
 def test_sabotage_transform_drops_mature_yield_on_the_ground():

@@ -37,7 +37,6 @@ class _EpisodeMemory:
 
 def cot_baseline(
     client: ChatClient,
-    templates: PromptTemplates,
     prompt: str,
     agent_count: int,
     table,
@@ -94,8 +93,7 @@ class CoTTeamSystem(ScriptTeam):
             history=history,
         )
         programs = cot_baseline(
-            self.client, self.templates, prompt, len(agents), metadata.primitive_table,
-            self.temperature,
+            self.client, prompt, len(agents), metadata.primitive_table, self.temperature
         )
         self.drivers = {}
         texts = []

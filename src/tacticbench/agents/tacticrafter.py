@@ -175,30 +175,18 @@ class TeamLog:
 
 def render_events(compact: list[Event], cap: int = HISTORY_EVENT_CAP) -> str:
     """One line per event, the last ``cap`` events only."""
-    lines = []
-    for ev in compact[-cap:]:
-        if ev.kind == "chat":
-            lines.append(f"[{ev.tick}] {ev.sender}: {ev.payload}")
-        else:
-            p = ev.payload if isinstance(ev.payload, dict) else {}
-            lines.append(
-                f"[{ev.tick}] {ev.sender} observes blocks={p.get('blocks', {})} "
-                f"inventory={p.get('inventory', {})}"
-            )
+    lines = [f"[{ev.tick}] {ev.sender}: {ev.payload}" for ev in compact[-cap:]]
     return "\n".join(lines) if lines else "(nothing)"
 
 
 def render_member_history(compact: list[Event], members: list[str]) -> str:
-    """Per member: (chat message, inventory at that time) pairs."""
+    """Per member: (chat message, inventory at that time) pairs.  The log
+    holds chat lines only, so every inventory prints as ``{}``."""
     out = []
     for member in members:
-        inventory: dict = {}
-        pairs = []
-        for ev in compact:
-            if ev.kind == "observe" and ev.sender == member and isinstance(ev.payload, dict):
-                inventory = ev.payload.get("inventory", {})
-            elif ev.kind == "chat" and ev.sender == member:
-                pairs.append(f'  ("{ev.payload}", inventory={inventory})')
+        # The slot stays in the prompt; filling it needs a record of
+        # ``view.inventory`` taken at each poll and kept beside the chat log.
+        pairs = [f'  ("{ev.payload}", inventory={{}})' for ev in compact if ev.sender == member]
         out.append(f"{member}:")
         out.extend(pairs if pairs else ["  (no messages)"])
     return "\n".join(out)
@@ -206,9 +194,7 @@ def render_member_history(compact: list[Event], members: list[str]) -> str:
 
 def opponent_chat_lines(compact: list[Event], opponent_members: list[str]) -> str:
     lines = [
-        f"[{ev.tick}] {ev.sender}: {ev.payload}"
-        for ev in compact
-        if ev.kind == "chat" and ev.sender in opponent_members
+        f"[{ev.tick}] {ev.sender}: {ev.payload}" for ev in compact if ev.sender in opponent_members
     ]
     return "\n".join(lines) if lines else "(no opponent messages)"
 
@@ -426,10 +412,10 @@ def checkpoint_save(system: "TactiCrafterSystem") -> Checkpoint:
     )
 
 
-def checkpoint_load(checkpoint: Checkpoint, client: ChatClient, **kwargs) -> "TactiCrafterSystem":
+def checkpoint_load(checkpoint: Checkpoint, client: ChatClient) -> "TactiCrafterSystem":
     if checkpoint.version != CHECKPOINT_VERSION:
         raise ValueError(f"checkpoint version mismatch: {checkpoint.version!r}")
-    system = TactiCrafterSystem(client, **kwargs)
+    system = TactiCrafterSystem(client)
     system.episode_counter = checkpoint.episode_counter
     system.tactics = Tactics(list(checkpoint.tactics)) if checkpoint.tactics else None
     system.graph = CausalGraph.from_json(checkpoint.causal_graph)
@@ -578,7 +564,7 @@ class TactiCrafterSystem(ScriptTeam):
     def _criticize(self, agent: _BaseAgent, view: AgentView) -> None:
         obs = view.observation
         status = {
-            "chat log": [f"{e.sender}: {e.payload}" for e in agent.compact[-20:] if e.kind == "chat"],
+            "chat log": [f"{e.sender}: {e.payload}" for e in agent.compact[-20:]],
             "biome": obs.self_status.get("biome"),
             "time": obs.self_status.get("time"),
             "nearby blocks": sorted({k for k, _ in obs.nearby_blocks}),

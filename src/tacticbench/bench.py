@@ -40,6 +40,12 @@ DEFAULT_EPISODES = 5
 DEFAULT_REPEATS = 3
 
 
+def _check_keys(what: str, data: dict, cls: type) -> None:
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+
+
 @dataclass
 class ClientConfig:
     kind: str = "mock"  # mock | http
@@ -81,10 +87,10 @@ class RunConfig:
     def from_dict(cls, data: dict) -> "RunConfig":
         data = dict(data)
         client = data.pop("client", {})
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown run config keys: {sorted(unknown)}")
+        _check_keys("run config", data, cls)
+        if not isinstance(client, dict):
+            raise ValueError(f"client must be a mapping, not {client!r}")
+        _check_keys("client", client, ClientConfig)
         return cls(**data, client=ClientConfig(**client))
 
     @classmethod

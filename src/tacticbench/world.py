@@ -143,22 +143,11 @@ class ScheduledEvent:
 
 @dataclass
 class Event:
-    kind: str  # "chat" | "observe"
+    """One chat line: the tick it was broadcast at, who sent it, the text."""
+
     tick: int
     sender: str  # agent name or "environment"
-    payload: Any
-
-    def key(self) -> tuple:
-        """Identity used for dedup comparisons: everything but the tick."""
-        return (self.kind, self.sender, _freeze(self.payload))
-
-
-def _freeze(value: Any) -> Any:
-    if isinstance(value, dict):
-        return tuple(sorted((k, _freeze(v)) for k, v in value.items()))
-    if isinstance(value, (list, tuple)):
-        return tuple(_freeze(v) for v in value)
-    return value
+    payload: str
 
 
 @dataclass
@@ -267,7 +256,7 @@ class WorldState:
     # -- chat -----------------------------------------------------------
 
     def broadcast(self, sender: str, text: str) -> Event:
-        ev = Event(kind="chat", tick=self.tick, sender=sender, payload=text)
+        ev = Event(self.tick, sender, text)
         self.chat_log.append(ev)
         return ev
 
@@ -329,19 +318,15 @@ class WorldState:
             raise WorldError(f"cannot skip from tick {self.tick} to {until} (next timer {top})")
         self.tick = until - 1
 
-    def step_tick(self) -> list[Event]:
+    def step_tick(self) -> None:
         """Advance one tick and apply every timer due at the new tick."""
         self.tick += 1
-        fired: list[Event] = []
         while self._timer_heap and self._timer_heap[0][0] <= self.tick:
             _, _, ev = heapq.heappop(self._timer_heap)
-            if ev.cancelled:
-                continue
-            fired.extend(self._apply_effect(ev))
-        return fired
+            if not ev.cancelled:
+                self._apply_effect(ev)
 
-    def _apply_effect(self, ev: ScheduledEvent) -> list[Event]:
-        out: list[Event] = []
+    def _apply_effect(self, ev: ScheduledEvent) -> None:
         if ev.effect == "regrow-block":
             pos, kind = ev.target
             cell = self.cells.get(pos)
@@ -362,15 +347,12 @@ class WorldState:
                 agent = None
             if agent is not None:
                 agent.inventory.add(out_item, 1)
-                out.append(
-                    self.broadcast("environment", f"Smelting finished: 1 {out_item} for {agent_name}")
-                )
+                self.broadcast("environment", f"Smelting finished: 1 {out_item} for {agent_name}")
         elif ev.effect == "mob-respawn":
             mob = ev.target
             mob.alive = True
         else:
             raise WorldError(f"unknown scheduled effect {ev.effect!r}")
-        return out
 
     # -- observation ----------------------------------------------------
 

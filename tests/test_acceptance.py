@@ -135,7 +135,7 @@ def test_criterion_03a_regrow_timers_respect_slime_threshold():
         original = WorldState.step_tick
 
         def checked(self):
-            fired = original(self)
+            original(self)
             rules = self.rules
             if isinstance(rules, MushroomWarRules):
                 for team in self.layout.areas:
@@ -143,7 +143,6 @@ def test_criterion_03a_regrow_timers_respect_slime_threshold():
                         for pos in rules.mushroom_cells[team]:
                             ev = rules.mushroom_timers.get(pos)
                             assert ev is None or ev.cancelled, (team, pos, self.tick)
-            return fired
 
         pairs = [
             ("aggressive", "slimy"), ("balanced", "aggressive"),
@@ -310,10 +309,10 @@ def _fuzz_log(rng: Random) -> list[Event]:
             # inject a repeated block to give the collapser work
             block = events[-rng.randint(1, min(4, len(events))):]
             for ev in block * rng.randint(1, 3):
-                events.append(Event("chat", tick, ev.sender, ev.payload))
+                events.append(Event(tick, ev.sender, ev.payload))
                 tick += 1
         else:
-            events.append(Event("chat", tick, rng.choice("AB"), rng.choice(messages)))
+            events.append(Event(tick, rng.choice("AB"), rng.choice(messages)))
             tick += 1
     return events
 
@@ -324,19 +323,16 @@ def test_criterion_10_dedup_properties():
         for _ in range(1000):
             events = _fuzz_log(rng)
             out = dedup_events(events)
-            keys_in = [e.key() for e in events]
-            keys_out = [e.key() for e in out]
+            keys_in = [(e.sender, e.payload) for e in events]
+            keys_out = [(e.sender, e.payload) for e in out]
             assert _is_subsequence(keys_out, keys_in)
-            assert [e.key() for e in dedup_events(out)] == keys_out
+            assert [(e.sender, e.payload) for e in dedup_events(out)] == keys_out
             assert len(out) <= len(events)
-        # 60 loop iterations of chat + drifting observe: collapses heavily
+        # 60 loop iterations of two chat lines at drifting ticks: collapses heavily
         loop_log = []
         for i in range(60):
-            loop_log.append(Event("chat", i * 40, "Ryn", "Mined 1 slime_block, got 1 slime_block"))
-            loop_log.append(
-                Event("observe", i * 40 + 1, "Ryn",
-                      {"inventory": {"slime_block": i + 1}, "blocks": {}})
-            )
+            loop_log.append(Event(i * 41, "Ryn", "Mined 1 slime_block, got 1 slime_block"))
+            loop_log.append(Event(i * 41 + 1 + i % 7, "Ryn", "Waiting for signal from Raze"))
         compact = dedup_events(loop_log)
         assert len(compact) <= len(loop_log) * 0.5
 

@@ -52,15 +52,11 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def chat(sender: str, text: str, tick: int = 0) -> Event:
-    return Event("chat", tick, sender, text)
-
-
-def observe(sender: str, inventory: dict, tick: int = 0) -> Event:
-    return Event("observe", tick, sender, {"inventory": inventory, "blocks": {}})
+    return Event(tick, sender, text)
 
 
 def keys(events: list[Event]) -> list[tuple]:
-    return [e.key() for e in events]
+    return [(e.sender, e.payload) for e in events]
 
 
 # -- dedup ---------------------------------------------------------------------
@@ -74,16 +70,6 @@ def test_dedup_collapses_alternating_pair():
 def test_dedup_keeps_non_repeating_logs():
     events = [chat("A", m, tick=i) for i, m in enumerate(["a", "b", "c", "a", "c"])]
     assert keys(dedup_events(events)) == keys(events)
-
-
-def test_dedup_ignores_observe_payload_drift():
-    # a loop whose observes change every pass still collapses on the chats
-    events = []
-    for i in range(5):
-        events.append(chat("A", "Mined 1 slime_block", tick=i * 10))
-        events.append(observe("A", {"slime_block": i + 1}, tick=i * 10 + 1))
-    out = dedup_events(events)
-    assert sum(1 for e in out if e.kind == "chat") == 1
 
 
 chat_logs = st.lists(
@@ -453,7 +439,7 @@ def test_cot_baseline_pads_missing_programs_with_none():
     client = MockChatClient(
         responder=lambda p, t: '<program>\nmineBlock("slime_block", 1)\n</program>'
     )
-    programs = cot_baseline(client, PromptTemplates(), "prompt", 2, table)
+    programs = cot_baseline(client, "prompt", 2, table)
     assert programs[0] is not None and programs[1] is None
 
 
@@ -463,7 +449,7 @@ def test_cot_baseline_rejects_invalid_programs():
         responder=lambda p, t: "<program>\ncraftItem(\"bread\", 1)\n</program>"
         "<program>\nbroken(\n</program>"
     )
-    programs = cot_baseline(client, PromptTemplates(), "prompt", 2, table)
+    programs = cot_baseline(client, "prompt", 2, table)
     assert programs == [None, None]
 
 
@@ -538,7 +524,7 @@ def test_cot_remembers_each_chat_line_once():
     system = CoTTeamSystem(make_mock_client())
     systems = {"red": system, "blue": BuiltinTeamSystem(builtin("berries", "dash_and_dine"))}
     result = run_episode(get_scenario("dash_and_dine", duration_ticks=600), systems, 2)
-    remembered = [e for e in system._memory.log.events if e.kind == "chat"]
+    remembered = system._memory.log.events
     # lines broadcast after the team's last turn are never shown to it
     assert remembered and remembered == result.chat_log[: len(remembered)]
 

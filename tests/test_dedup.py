@@ -1,9 +1,10 @@
 """``dedup_events`` against the window-loop collapser it replaced.
 
 The oracle below is the original implementation: at every position it
-tries each window length from 64 down to 1 on slices of unit keys.  The
-regex scan in ``tacticbench.agents.dedup`` must return the very same Event
-objects in the same order."""
+tries each window length from 64 down to 1 on slices of line keys, one
+``(sender, payload)`` unit per line.  The regex scan in
+``tacticbench.agents.dedup`` must return the very same Event objects in the
+same order."""
 from __future__ import annotations
 
 from random import Random
@@ -16,15 +17,7 @@ from tacticbench.world import Event
 
 
 def _oracle_units(events):
-    units = []
-    for ev in events:
-        if ev.kind == "chat" or not units:
-            units.append((ev.key(), [ev]))
-        elif units[-1][1][0].kind == "chat":
-            units[-1][1].append(ev)
-        else:
-            units.append((ev.key(), [ev]))
-    return units
+    return [((ev.sender, ev.payload), [ev]) for ev in events]
 
 
 def _oracle_collapse_pass(units):
@@ -68,47 +61,28 @@ def assert_same_events(events):
 
 
 def chat(text: str, tick: int = 0, sender: str = "A") -> Event:
-    return Event("chat", tick, sender, text)
-
-
-def observe(count: int, tick: int = 0, sender: str = "A") -> Event:
-    return Event("observe", tick, sender, {"inventory": {"slime_block": count}, "blocks": {}})
+    return Event(tick, sender, text)
 
 
 def random_log(rng: Random) -> list[Event]:
-    """Up to ~400 units over a 1-6 message alphabet, with observes (leading
-    ones too) and copies of the last 1-70 units pasted back in."""
+    """Up to ~400 lines over a 1-6 message alphabet and 1-2 senders, with
+    copies of the last 1-70 lines pasted back in at later ticks."""
     alphabet = [f"m{i}" for i in range(rng.randint(1, 6))]
     senders = "AB"[: rng.randint(1, 2)]
-    observe_rate = rng.choice([0.0, 0.2, 0.6])
     events: list[Event] = []
-    units: list[list[Event]] = []
-    tick = 0
 
-    def add(unit: list[Event]) -> None:
-        nonlocal tick
-        copy = []
-        for ev in unit:
-            copy.append(Event(ev.kind, tick, ev.sender, ev.payload))
-            tick += 1
-        events.extend(copy)
-        units.append(copy)
+    def add(ev: Event) -> None:
+        events.append(Event(len(events), ev.sender, ev.payload))
 
-    for _ in range(rng.choice([0, 0, 1, 3])):
-        add([observe(rng.randint(0, 2), sender=rng.choice(senders))])
     target = rng.randint(0, 400)
-    while len(units) < target:
-        if units and rng.random() < 0.15:
-            period = rng.randint(1, 70)
-            block = units[-period:]
+    while len(events) < target:
+        if events and rng.random() < 0.15:
+            block = events[-rng.randint(1, 70):]
             for _ in range(rng.randint(1, 3)):
-                for unit in block:
-                    add(unit)
+                for ev in block:
+                    add(ev)
         else:
-            unit = [chat(rng.choice(alphabet), sender=rng.choice(senders))]
-            while rng.random() < observe_rate:
-                unit.append(observe(rng.randint(0, 3), sender=unit[0].sender))
-            add(unit)
+            add(chat(rng.choice(alphabet), sender=rng.choice(senders)))
     return events
 
 
@@ -120,9 +94,7 @@ def test_dedup_matches_window_loop_oracle(rng):
 
 def test_dedup_matches_oracle_on_small_and_edge_logs():
     assert_same_events([])
-    assert_same_events([observe(1)])
-    assert_same_events([observe(1), observe(1), observe(1), chat("a"), chat("a")])
-    assert_same_events([observe(1), observe(2), observe(1), observe(2)])
+    assert_same_events([chat("a")])
     assert_same_events([chat("a")] * 300)
     assert_same_events([chat(m) for m in "abcabcabcxabab"])
 
@@ -140,3 +112,13 @@ def test_window_cap_keeps_a_65_unit_block():
     events = [chat(m, tick=t) for t, m in enumerate(block * 2)]
     assert dedup_events(events) == events
     assert_same_events(events)
+
+
+def test_same_text_from_interleaved_senders_is_two_lines():
+    # "a" from A and "a" from B differ; only the (A, B) pair repeats
+    events = [chat("a", tick=t, sender="AB"[t % 2]) for t in range(6)]
+    out = dedup_events(events)
+    assert [(e.sender, e.payload) for e in out] == [("A", "a"), ("B", "a")]
+    assert out == events[:2]
+    assert_same_events(events)
+    assert_same_events(events + [chat("a", tick=6, sender="B")])

@@ -123,6 +123,10 @@ def test_episode_seed_is_stable_and_distinct():
 def test_run_config_rejects_unknown_keys_and_values():
     with pytest.raises(ValueError):
         RunConfig.from_dict({"bogus": 1})
+    with pytest.raises(ValueError, match="bogus"):
+        RunConfig.from_dict({"client": {"bogus": 1}})
+    with pytest.raises(ValueError, match="client"):
+        RunConfig.from_dict({"client": "mock"})
     with pytest.raises(ValueError):
         RunConfig(episodes=0)
     with pytest.raises(ValueError):
@@ -411,7 +415,7 @@ def test_agent_exception_sidelines_only_that_agent():
     }
     result = tb_runner.run_episode(config, systems, seed=4)
     assert result.disabled_teams == []  # only one agent died, not the team
-    assert any("system failed" in e.payload for e in result.chat_log if e.kind == "chat")
+    assert any("system failed" in e.payload for e in result.chat_log)
     assert result.scores["red"] > 0  # the surviving teammate keeps scoring
 
 
@@ -436,7 +440,7 @@ def step_ticks(monkeypatch):
 
     def counting(self):
         calls.append(self.tick)
-        return real(self)
+        real(self)
 
     monkeypatch.setattr(WorldState, "step_tick", counting)
     return calls
@@ -570,15 +574,14 @@ def _episode_digest(result, world, systems):
 
 
 def _assert_chat_delivered(result, systems):
-    """Each agent is handed chat only, in broadcast order, each line once:
-    its ``new_events`` joined over the episode are a prefix of the chat log."""
-    chat = [(e.kind, e.tick, e.sender, e.payload) for e in result.chat_log]
+    """Each agent is handed the chat in broadcast order, each line once: its
+    ``new_events`` joined over the episode are a prefix of the chat log."""
+    chat = [(e.tick, e.sender, e.payload) for e in result.chat_log]
     for probe in systems.values():
         handed = {}
         for _tick, agent, events, *_seen in probe.polls:
             handed.setdefault(agent, []).extend(events)
         for agent, events in handed.items():
-            assert all(kind == "chat" for kind, *_ in events), agent
             assert events == chat[: len(events)], agent
 
 
@@ -652,7 +655,7 @@ class _ViewProbe:
             self.polls.append((
                 view.tick,
                 agent_name,
-                [(e.kind, e.tick, e.sender, e.payload) for e in view.new_events],
+                [(e.tick, e.sender, e.payload) for e in view.new_events],
                 view.inventory.as_dict(),
                 obs.nearby_blocks,
                 obs.nearby_mobs,

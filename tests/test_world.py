@@ -11,7 +11,6 @@ from tacticbench.layout import load_builtin_layout, load_layout_text
 from tacticbench.world import (
     DEFAULT_EPISODE_TICKS,
     BlockCell,
-    Event,
     Inventory,
     LayoutError,
     Position,
@@ -191,20 +190,6 @@ def test_state_hash_stable_and_sensitive(mw_world):
     assert h1 == mw_world.state_hash()
     mw_world.agent("Ryn").inventory.add("wheat", 1)
     assert mw_world.state_hash() != h1
-
-
-def test_event_key_ignores_tick():
-    a = Event("chat", 5, "Ryn", "hello")
-    b = Event("chat", 99, "Ryn", "hello")
-    assert a.key() == b.key()
-    assert a.key() != Event("chat", 5, "Raze", "hello").key()
-
-
-def test_event_key_freezes_dict_payloads():
-    a = Event("observe", 1, "Ryn", {"inventory": {"wheat": 2}, "blocks": {}})
-    b = Event("observe", 2, "Ryn", {"blocks": {}, "inventory": {"wheat": 2}})
-    assert a.key() == b.key()
-    hash(a.key())  # must be usable in sets
 
 
 def test_layout_rejects_out_of_bounds_cells():

@@ -9,7 +9,7 @@ from .client import (
     TransportError,
 )
 from .cot import CoTTeamSystem, cot_baseline
-from .dedup import dedup_events
+from .dedup import DedupMemo, dedup_events
 from .mock import default_mock_responder, make_mock_client
 from .tacticrafter import (
     FALLBACK_TACTICS_LINE,

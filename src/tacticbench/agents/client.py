@@ -14,8 +14,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Protocol
 
-import requests
-
 DEFAULT_TEMPERATURE = 0.3
 API_KEY_ENV = "TACTICBENCH_API_KEY"
 
@@ -106,6 +104,8 @@ class TransportError(RuntimeError):
 def _retryable(exc: Exception) -> bool:
     """Whether a later attempt may succeed: connection errors, timeouts, 429
     and 5xx responses.  Other HTTP errors are the request's own fault."""
+    import requests  # here, not at the top: only the HTTP client needs it
+
     if isinstance(exc, (requests.ConnectionError, requests.Timeout, ConnectionError, TimeoutError)):
         return True
     if isinstance(exc, requests.HTTPError) and exc.response is not None:
@@ -115,6 +115,8 @@ def _retryable(exc: Exception) -> bool:
 
 
 def _default_transport(url: str, payload: dict, headers: dict, timeout: float) -> dict:
+    import requests
+
     resp = requests.post(url, json=payload, headers=headers, timeout=timeout)
     resp.raise_for_status()
     return resp.json()

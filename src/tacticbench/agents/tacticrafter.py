@@ -24,7 +24,7 @@ from ..systems import AgentView, Request, ScenarioMetadata, ScriptDriver, Script
 from ..world import TICKS_PER_SECOND, Event
 from .causal import CausalGraph, CausalRelation
 from .client import ChatClient, ChatCompletionRequest, ChatMessage
-from .dedup import dedup_events
+from .dedup import DedupMemo, dedup_events
 
 log = logging.getLogger(__name__)
 
@@ -438,6 +438,7 @@ class _BaseAgent:
         self.benched = False
         self.critique = ""
         self.compact: list[Event] = []  # its deduplicated lines at the last regeneration
+        self.dedup_memo = DedupMemo()  # lets each regeneration rescan only the log's new tail
 
 
 class TactiCrafterSystem(ScriptTeam):
@@ -596,7 +597,7 @@ class TactiCrafterSystem(ScriptTeam):
         if agent.benched or view.tick >= view.duration:
             return None
         # program ended (error or clean completion): critique and regenerate
-        agent.compact = dedup_events(self._log.view(agent_name))
+        agent.compact = dedup_events(self._log.view(agent_name), agent.dedup_memo)
         self._criticize(agent, view)
         self._generate_program(agent, charge_latency=True)
         return agent.driver.next_request(view)

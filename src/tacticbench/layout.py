@@ -7,6 +7,7 @@ schema versions, and out-of-bounds entries are all errors.
 """
 from __future__ import annotations
 
+import functools
 from importlib import resources
 from typing import Any
 
@@ -130,6 +131,10 @@ def load_layout_text(text: str) -> Layout:
     return layout_from_dict(yaml.safe_load(text))
 
 
+@functools.lru_cache(maxsize=None)
 def load_builtin_layout(name: str) -> Layout:
+    """The packaged layout ``name``, parsed once per process.  Every caller
+    shares the returned object, so none may change it (``WorldState``
+    copies what it mutates)."""
     ref = resources.files("tacticbench").joinpath(f"layouts/{name}.yaml")
     return load_layout_text(ref.read_text())

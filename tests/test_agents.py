@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tacticbench.actionlang import parse_source
+from tacticbench.agents import tacticrafter
 from tacticbench.agents import (
     CausalGraph,
     CausalParseError,
@@ -473,6 +474,28 @@ def test_tacticrafter_scores_with_the_mock_client():
     assert result.disabled_teams == []
     purposes = {c.purpose for c in client.calls}
     assert {"causal", "tactics", "program"} <= purposes
+
+
+def test_tacticrafter_memo_dedup_returns_what_a_fresh_dedup_returns(monkeypatch):
+    real = tacticrafter.dedup_events
+    lengths = []
+
+    def compare(events, memo=None):
+        out = real(events, memo)
+        if memo is not None:
+            fresh = real(events)
+            assert len(out) == len(fresh) and all(a is b for a, b in zip(out, fresh))
+            lengths.append(len(events))
+        return out
+
+    monkeypatch.setattr(tacticrafter, "dedup_events", compare)
+    systems = {
+        "red": TactiCrafterSystem(make_mock_client()),
+        "blue": BuiltinTeamSystem(builtin("slimy", "mushroom_war")),
+    }
+    run_episode(get_scenario("mushroom_war", duration_ticks=2400), systems, 2)
+    # logs long enough that later regenerations reuse part of the last scan
+    assert len(lengths) > 100 and max(lengths) > 300
 
 
 def test_tacticrafter_charges_idle_for_midgame_regenerations():

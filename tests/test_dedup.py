@@ -4,7 +4,7 @@ The oracle below is the original implementation: at every position it
 tries each window length from 64 down to 1 on slices of line keys, one
 ``(sender, payload)`` unit per line.  The regex scan in
 ``tacticbench.agents.dedup`` must return the very same Event objects in the
-same order."""
+same order, also when a ``DedupMemo`` lets it reuse an earlier call's scan."""
 from __future__ import annotations
 
 from random import Random
@@ -12,7 +12,7 @@ from random import Random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tacticbench.agents.dedup import MAX_WINDOW, dedup_events
+from tacticbench.agents.dedup import MAX_WINDOW, DedupMemo, dedup_events
 from tacticbench.world import Event
 
 
@@ -54,10 +54,17 @@ def oracle_dedup(events):
     return [ev for _, unit in units for ev in unit]
 
 
-def assert_same_events(events):
-    got, want = dedup_events(events), oracle_dedup(events)
+def assert_same_events(events, memo=None):
+    got, want = dedup_events(events, memo), oracle_dedup(events)
     assert len(got) == len(want)
     assert all(a is b for a, b in zip(got, want))
+
+
+def assert_memo_follows_growth(events):
+    """One memo handed ``events`` one line longer at a time."""
+    memo = DedupMemo()
+    for n in range(len(events) + 1):
+        assert_same_events(events[:n], memo)
 
 
 def chat(text: str, tick: int = 0, sender: str = "A") -> Event:
@@ -92,6 +99,23 @@ def test_dedup_matches_window_loop_oracle(rng):
     assert_same_events(random_log(rng))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_memo_matches_the_oracle_as_a_log_grows_in_chunks(rng):
+    memo = DedupMemo()
+    for _ in range(3):
+        events = random_log(rng)
+        n = 0
+        while n < len(events):
+            if rng.random() < 0.1:  # a log that does not extend the last one
+                assert_same_events(random_log(rng), memo)
+            n = min(len(events), n + rng.choice([1, 1, 2, 5, 30, 130]))
+            assert_same_events(events[:n], memo)
+        # the same log again, then a copy: equal lines, other objects
+        assert_same_events(events, memo)
+        assert_same_events([Event(e.tick, e.sender, e.payload) for e in events], memo)
+
+
 def test_dedup_matches_oracle_on_small_and_edge_logs():
     assert_same_events([])
     assert_same_events([chat("a")])
@@ -105,6 +129,11 @@ def test_window_cap_collapses_a_64_unit_block():
     out = dedup_events(events)
     assert out == events[:MAX_WINDOW]
     assert_same_events(events)
+    assert_memo_follows_growth([chat(m, tick=t) for t, m in enumerate(block * 3)])
+    # a block that opens with a repeated line: the 1-line repeat at 0 gives
+    # way to the 64-line one only when the 128th line arrives
+    paired = block[:1] + block[:-1]
+    assert_memo_follows_growth([chat(m, tick=t) for t, m in enumerate(paired * 3)])
 
 
 def test_window_cap_keeps_a_65_unit_block():
@@ -112,6 +141,7 @@ def test_window_cap_keeps_a_65_unit_block():
     events = [chat(m, tick=t) for t, m in enumerate(block * 2)]
     assert dedup_events(events) == events
     assert_same_events(events)
+    assert_memo_follows_growth([chat(m, tick=t) for t, m in enumerate(block * 3)])
 
 
 def test_same_text_from_interleaved_senders_is_two_lines():

@@ -258,6 +258,24 @@ def test_calibration_key_is_the_same_under_any_hash_seed():
     assert len(outs[0].split()) == 2 and outs[0] == outs[1] == outs[2]
 
 
+def test_a_mock_run_never_imports_requests():
+    # only HttpChatClient needs requests, and importing it costs a mock run
+    # about as much as the rest of the package
+    code = (
+        "import sys\n"
+        "import tacticbench\n"
+        "from tacticbench.bench import ClientConfig, RunConfig\n"
+        "config = RunConfig(scenarios=['mushroom_war'], client=ClientConfig(kind='mock'))\n"
+        "config.client.build()\n"
+        "print('requests' in sys.modules)\n"
+    )
+    src = str(Path(bench.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.split() == ["False"]
+
+
 def test_calibration_runs_exactly_twenty_episodes(monkeypatch):
     seen = []
     real = bench.run_episode

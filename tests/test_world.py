@@ -2,12 +2,16 @@
 from __future__ import annotations
 
 import math
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tacticbench.layout import load_builtin_layout, load_layout_text
+from tacticbench.opponents import BuiltinTeamSystem, builtin
+from tacticbench.runner import run_episode
+from tacticbench.scenarios import get_scenario
 from tacticbench.world import (
     DEFAULT_EPISODE_TICKS,
     BlockCell,
@@ -251,6 +255,27 @@ def test_set_block_creates_or_replaces_a_cell_at_stage_zero(mw_world):
     assert mw_world.cells[(1, 0)] == BlockCell("wheat", 0)
     assert list(mw_world.cells)[-2:] == [(0, 0), (1, 0)]  # a replaced cell keeps its place
     assert not mw_world.pending_timers()  # growth is the rules' job, not the world's
+
+
+@pytest.mark.parametrize(
+    "scenario, red, blue",
+    [("mushroom_war", "slimy", "aggressive"), ("dash_and_dine", "berries", "cake_beetroot")],
+)
+def test_an_episode_leaves_the_cached_builtin_layout_unchanged(scenario, red, blue):
+    config = get_scenario(scenario, duration_ticks=600)
+    assert config.layout is load_builtin_layout(scenario)  # parsed once, shared
+    systems = {
+        "red": BuiltinTeamSystem(builtin(red, scenario)),
+        "blue": BuiltinTeamSystem(builtin(blue, scenario)),
+    }
+    run_episode(config, systems, 3)
+    ref = resources.files("tacticbench").joinpath(f"layouts/{scenario}.yaml")
+    fresh = load_layout_text(ref.read_text())
+    cached = load_builtin_layout(scenario)
+    assert cached.cells == fresh.cells
+    assert cached.containers == fresh.containers
+    assert cached.agent_starts == fresh.agent_starts
+    assert cached == fresh
 
 
 def test_builtin_layouts_have_mirrored_block_budgets():

@@ -6,6 +6,7 @@ kinds that would have been accepted there.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -227,7 +228,14 @@ def parse(tokens: list[Token]) -> ActionProgram:
     return _Parser(tokens).parse_program()
 
 
+@functools.lru_cache(maxsize=256)
 def parse_source(source: str) -> ActionProgram:
+    """Parse ActScript text; raises :class:`ParseError` on the first error.
+
+    Results are cached by text, so every call with the same text returns
+    the same program object: callers share it and must never mutate it
+    (``ExecState`` only reads its program).  Errors are not cached; a bad
+    text raises an equal ``ParseError`` on every call."""
     return parse(tokenize(source))
 
 

@@ -130,18 +130,22 @@ class PromptTemplates:
     def __init__(self) -> None:
         base = resources.files("tacticbench") / "agents" / "templates"
         self.texts = {name: (base / f"{name}.txt").read_text() for name in self.NAMES}
+        self._templates = {name: string.Template(text) for name, text in self.texts.items()}
+        self._slots = {name: _slot_names(t) for name, t in self._templates.items()}
 
     def fill(self, name: str, **slots) -> str:
-        template = string.Template(self.texts[name])
-        needed = {
-            m.group("named") or m.group("braced")
-            for m in template.pattern.finditer(template.template)
-            if m.group("named") or m.group("braced")
-        }
-        missing = needed - set(slots)
+        missing = self._slots[name] - slots.keys()
         if missing:
             raise KeyError(f"template {name} missing slots: {sorted(missing)}")
-        return template.substitute({k: str(v) for k, v in slots.items()})
+        return self._templates[name].substitute({k: str(v) for k, v in slots.items()})
+
+
+def _slot_names(template: string.Template) -> frozenset[str]:
+    return frozenset(
+        m.group("named") or m.group("braced")
+        for m in template.pattern.finditer(template.template)
+        if m.group("named") or m.group("braced")
+    )
 
 
 # -- history ----------------------------------------------------------------

@@ -13,7 +13,7 @@ from typing import Any, Optional
 
 from .actionlang.interp import PrimitiveRequest
 from .scenarios import CROPS, MOB_DROPS, SMELT_TICKS, ScenarioConfig, sabotage_transform
-from .world import AgentBody, Position, WorldState
+from .world import NEUTRAL, AgentBody, Position, WorldState
 
 SEARCH_RADIUS = 64  # arenas are smaller than this; effectively whole-map search
 FAIL_TICKS = 10  # time lost on a failed primitive
@@ -115,11 +115,19 @@ def _walk(world: WorldState, agent: AgentBody, target: Position, reach: int = 1)
 
 
 def _pickup_ground_items(world: WorldState, agent: AgentBody) -> None:
+    """Pick up every ground stack within reach 1, in ground-item order."""
+    ground = world.ground_items
+    if not ground:
+        return
     ax, az = agent.position.x, agent.position.z
-    for pos in [p for p in world.ground_items if max(abs(p[0] - ax), abs(p[1] - az)) <= 1]:
-        for item, n in list(world.ground_items[pos].items()):
+    near = [(x, z) for x in (ax - 1, ax, ax + 1) for z in (az - 1, az, az + 1) if (x, z) in ground]
+    if len(near) > 1:
+        # the order stacks enter the inventory in is the ground-item order
+        near = [p for p in ground if max(abs(p[0] - ax), abs(p[1] - az)) <= 1]
+    for pos in near:
+        for item, n in list(ground[pos].items()):
             agent.inventory.add(item, n)
-        del world.ground_items[pos]
+        del ground[pos]
 
 
 def _nearest_cell(
@@ -131,24 +139,32 @@ def _nearest_cell(
 ) -> Optional[tuple[int, int]]:
     """The ``kind`` cell at growth stage ``min_stage`` or later nearest the
     agent (Chebyshev, within ``SEARCH_RADIUS``), ties broken by the smaller
-    ``(x, z)``; None if none."""
+    ``(x, z)``; None if none.  Reads only the index groups ``area`` allows;
+    the ``(distance, key)`` minimum does not depend on their order."""
+    owners = world.cell_index.get(kind)
+    if owners is None:
+        return None
+    if area == "own":
+        groups = [owners.get(agent.team, ())]
+    elif area == "opponent":
+        groups = [g for owner, g in owners.items() if owner != agent.team and owner != NEUTRAL]
+    else:
+        groups = owners.values()
+    cells = world.cells
     ax, az = agent.position.x, agent.position.z
-    best: Optional[tuple[int, tuple[int, int]]] = None
-    for key, cell in world.cells.items():
-        if cell.kind != kind or cell.growth_stage < min_stage:
-            continue
-        x, z = key
-        d = max(abs(x - ax), abs(z - az))
-        if d > SEARCH_RADIUS or (best is not None and (d, key) >= best):
-            continue
-        if area != "any":
-            owner = world.area_of(x, z)
-            if area == "own" and owner != agent.team:
+    best_d, best = SEARCH_RADIUS, None
+    for group in groups:
+        for key in group:
+            if min_stage and cells[key].growth_stage < min_stage:
                 continue
-            if area == "opponent" and (owner == agent.team or owner == "neutral"):
-                continue
-        best = (d, key)
-    return best[1] if best is not None else None
+            x, z = key
+            # max(abs(), abs()) spelt out: builtin calls cost more than the search
+            dx = x - ax if x >= ax else ax - x
+            dz = z - az if z >= az else az - z
+            d = dx if dx >= dz else dz
+            if d < best_d or (d == best_d and (best is None or key < best)):
+                best_d, best = d, key
+    return best
 
 
 # -- primitive handlers ------------------------------------------------------
@@ -499,11 +515,10 @@ def _free_cell_near(world: WorldState, x: int, z: int) -> Optional[tuple[int, in
                     continue
                 cell = world.cells.get((cx, cz))
                 if cell is None or cell.kind == "air":
-                    if cell is not None:
-                        # drops the cell even when an agent stands here, so a
-                        # regrow timer can no longer find it; sparing it moves
-                        # the golden episode digests
-                        del world.cells[(cx, cz)]
+                    # drops the cell even when an agent stands here, so a
+                    # regrow timer can no longer find it; sparing it moves
+                    # the golden episode digests
+                    world.clear_block((cx, cz))
                     if any(a.position.x == cx and a.position.z == cz for a in world.agents):
                         continue
                     return (cx, cz)

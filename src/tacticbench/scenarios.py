@@ -6,7 +6,8 @@ primitive engine (block removed/placed/regrown, crop advance, growth
 scheduling) so scenario behavior stays out of the simulation kernel.  The
 primitives call the hooks unguarded, so a world must have its rules set up
 before it executes one.  A cell changes kind only through
-``WorldState.set_block``, which also resets its growth stage.
+``WorldState.set_block``, which also resets its growth stage, and is deleted
+only through ``WorldState.clear_block``.
 """
 from __future__ import annotations
 
@@ -251,12 +252,7 @@ class MushroomWarRules(ScenarioRules):
                 self.mushroom_cells[team].add((x, z))
 
     def slime_count(self, world: WorldState, team: str) -> int:
-        x0, z0, x1, z1 = world.layout.areas[team]
-        return sum(
-            1
-            for (x, z), cell in world.cells.items()
-            if cell.kind == "slime_block" and x0 <= x <= x1 and z0 <= z <= z1
-        )
+        return len(world.cell_index.get("slime_block", {}).get(team, ()))
 
     def regrow_eligible(self, world: WorldState, team: str) -> bool:
         return self.slime_count(world, team) <= SLIME_ELIGIBILITY_MAX
@@ -391,10 +387,8 @@ def sabotage_transform(
     if src is None or target not in CROPS:
         raise ValueError(f"unknown crop in transform {source!r} -> {target!r}")
     converted = 0
-    for pos in sorted(world.cells):
+    for pos in sorted(p for group in world.cell_index.get(source, {}).values() for p in group):
         cell = world.cells[pos]
-        if cell.kind != source:
-            continue
         drops = dict(src.destroy_drops) if cell.growth_stage >= src.max_stage else {}
         if drops:
             ground = world.ground_items.setdefault(pos, type(agent.inventory)())

@@ -5,6 +5,10 @@ containers, and a queue of scheduled delayed effects.  All randomness is
 drawn from a single seeded generator in simulation order, so a fixed seed
 and a fixed action sequence replay bit-identically.
 
+A cell changes only through ``WorldState.set_block`` and
+``WorldState.clear_block`` (its growth stage aside), because those two keep
+the world's index of cells by kind and owning area in step with ``cells``.
+
 Time is measured in ticks, 20 ticks per simulated second.  A standard
 episode lasts 2400 ticks (2 minutes).
 """
@@ -200,10 +204,13 @@ class WorldState:
         self.duration: int = DEFAULT_EPISODE_TICKS
         self.rng = Random(seed)
         self.seed = seed
-        self.cells: dict[tuple[int, int], BlockCell] = {
-            pos: BlockCell(c.kind, c.growth_stage)
-            for pos, c in layout.cells.items()
-        }
+        self.cells: dict[tuple[int, int], BlockCell] = {}
+        # kind -> owning area -> positions, no group empty; kept by set_block
+        # and clear_block
+        self.cell_index: dict[str, dict[str, set[tuple[int, int]]]] = {}
+        for pos, c in layout.cells.items():
+            self.set_block(pos, c.kind)
+            self.cells[pos].growth_stage = c.growth_stage
         self.agents: list[AgentBody] = [
             AgentBody(name=n, team=t, position=p) for n, t, p in layout.agent_starts
         ]
@@ -251,7 +258,27 @@ class WorldState:
         """Make the cell at ``pos`` a ``kind`` block at growth stage 0.  The
         one way a cell is created or changes kind; replacing a cell keeps its
         place in the cell order."""
+        owner = self.area_of(*pos)
+        old = self.cells.get(pos)
+        if old is not None:
+            self._unindex(pos, old.kind, owner)
         self.cells[pos] = BlockCell(kind)
+        self.cell_index.setdefault(kind, {}).setdefault(owner, set()).add(pos)
+
+    def clear_block(self, pos: tuple[int, int]) -> None:
+        """Delete the cell at ``pos``, if there is one."""
+        old = self.cells.pop(pos, None)
+        if old is not None:
+            self._unindex(pos, old.kind, self.area_of(*pos))
+
+    def _unindex(self, pos: tuple[int, int], kind: str, owner: str) -> None:
+        owners = self.cell_index[kind]
+        group = owners[owner]
+        group.remove(pos)
+        if not group:
+            del owners[owner]
+            if not owners:
+                del self.cell_index[kind]
 
     # -- chat -----------------------------------------------------------
 
@@ -449,6 +476,12 @@ def validate_layout(layout: Layout) -> None:
     for team, (x0, z0, x1, z1) in layout.areas.items():
         if not (0 <= x0 <= x1 < layout.width and 0 <= z0 <= z1 < layout.depth):
             raise LayoutError(f"area for {team!r} out of bounds: {(x0, z0, x1, z1)}")
+    # a cell has one owner only if no two areas share a cell
+    rects = list(layout.areas.items())
+    for i, (team, (x0, z0, x1, z1)) in enumerate(rects):
+        for other, (u0, w0, u1, w1) in rects[i + 1:]:
+            if x0 <= u1 and u0 <= x1 and z0 <= w1 and w0 <= z1:
+                raise LayoutError(f"areas for {team!r} and {other!r} overlap")
     for (x, z) in layout.cells:
         if not (0 <= x < layout.width and 0 <= z < layout.depth):
             raise LayoutError(f"cell out of bounds at ({x}, {z})")

@@ -255,6 +255,31 @@ def test_empty_loop_yields_implicit_waits():
     assert state.status == "running"
 
 
+def test_cached_program_steps_independently_in_two_exec_states():
+    source = 'repeat 2 {\n  wait(1)\n  say("hi")\n}\nmineBlock("slime_block", 1)\n'
+    program = parse_source(source)
+    assert parse_source(source) is program  # cached: one shared program
+    session = FakeSession()
+    first, second = ExecState(program), ExecState(parse_source(source))
+    a = [step(first, session, session) for _ in range(3)]
+    b = [step(second, session, session) for _ in range(5)]
+    assert [type(r).__name__ for r in a] == ["WaitRequest", "SayRequest", "WaitRequest"]
+    assert isinstance(b[4], PrimitiveRequest) and b[4].name == "mineBlock"
+    assert isinstance(step(first, session, session), SayRequest)  # unmoved by second
+    b[4].args.append(1)  # a request's args are its own copy
+    assert program == parse_source.__wrapped__(source)
+
+
+def test_bad_source_raises_an_equal_parse_error_on_every_call():
+    errors = []
+    for _ in range(3):
+        with pytest.raises(ParseError) as info:
+            parse_source('wait(5\nsay("x")\n')
+        errors.append(info.value)
+    assert errors[0] == errors[1] == errors[2]
+    assert len({str(e) for e in errors}) == 1
+
+
 def test_if_has_checks_inventory():
     session = FakeSession(items={"wheat": 3})
     _, reqs = _drain('if has("wheat", 3) {\n  say("yes")\n} else {\n  say("no")\n}\n', session)

@@ -7,9 +7,16 @@ from hypothesis import strategies as st
 
 from tacticbench.actionlang.interp import PrimitiveRequest
 from tacticbench.actionlang.parse import Call
-from tacticbench.primitives import FAIL_TICKS, SEARCH_RADIUS, Durations, _nearest_cell, execute
+from tacticbench.primitives import (
+    FAIL_TICKS,
+    SEARCH_RADIUS,
+    Durations,
+    _nearest_cell,
+    _pickup_ground_items,
+    execute,
+)
 from tacticbench.scenarios import SMELT_TICKS, get_scenario, make_rules
-from tacticbench.world import BlockCell, Position, new_world
+from tacticbench.world import Inventory, Position, new_world
 
 DUR = Durations()
 
@@ -422,13 +429,15 @@ def edited_worlds(draw):
         max_size=30,
     )):
         if op == "place":
-            world.cells[key] = BlockCell(kind, growth_stage=stage)
+            world.set_block(key, kind)
+            world.cells[key].growth_stage = stage
         elif op == "delete":
-            world.cells.pop(key, None)
+            world.clear_block(key)
         else:
             for dx, dz in ((-stage, 0), (stage, 0), (0, -stage), (0, stage), (stage, stage)):
                 if world.in_bounds(key[0] + dx, key[1] + dz):
-                    world.cells[(key[0] + dx, key[1] + dz)] = BlockCell(kind, growth_stage=3)
+                    world.set_block((key[0] + dx, key[1] + dz), kind)
+                    world.cells[(key[0] + dx, key[1] + dz)].growth_stage = 3
     far = st.integers(-SEARCH_RADIUS - 20, width + SEARCH_RADIUS + 20)
     for agent in world.agents:
         agent.position = Position(draw(st.one_of(x, far)), 0, draw(z))
@@ -448,10 +457,28 @@ def test_nearest_cell_matches_scan_and_sort_oracle(world):
 
 def test_nearest_cell_breaks_distance_ties_on_x_then_z():
     world, _, _ = make_world("dash_and_dine")
-    world.cells.clear()
+    for key in list(world.cells):
+        world.clear_block(key)
     agent = world.agent("Ryn")
     agent.position = Position(10, 0, 5)
     for key in [(12, 5), (10, 7), (10, 3), (8, 7), (8, 3)]:  # all at distance 2
-        world.cells[key] = BlockCell("wheat")
+        world.set_block(key, "wheat")
     assert _nearest_cell(world, agent, "wheat") == (8, 3)
     assert oracle_nearest_cells(world, agent, "wheat")[0][1] == (8, 3)
+
+
+def test_ground_stacks_in_reach_are_picked_up_in_ground_item_order():
+    world, _, _ = make_world("dash_and_dine")
+    agent = world.agent("Ryn")
+    agent.position = Position(10, 0, 5)
+    agent.inventory = Inventory()
+    # dropped right of the agent first, so probing x ascending would invert the order
+    world.ground_items[(11, 6)] = Inventory({"wheat": 1})
+    world.ground_items[(12, 5)] = Inventory({"egg": 1})  # out of reach
+    world.ground_items[(9, 4)] = Inventory({"carrot": 2, "beetroot": 1})
+    _pickup_ground_items(world, agent)
+    assert list(agent.inventory.stacks.items()) == [("wheat", 1), ("carrot", 2), ("beetroot", 1)]
+    assert list(world.ground_items) == [(12, 5)]
+    agent.position = Position(11, 0, 4)
+    _pickup_ground_items(world, agent)
+    assert agent.inventory.count("egg") == 1 and not world.ground_items

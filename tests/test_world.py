@@ -3,11 +3,13 @@ from __future__ import annotations
 
 import math
 from importlib import resources
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tacticbench.runner as tb_runner
 from tacticbench.layout import load_builtin_layout, load_layout_text
 from tacticbench.opponents import BuiltinTeamSystem, builtin
 from tacticbench.runner import run_episode
@@ -65,7 +67,7 @@ def test_area_of_classifies_neutral_strip(mw_world):
 
 def test_schedule_fires_at_sampled_tick(mw_world):
     pos = (2, 2)
-    mw_world.cells[pos].kind = "air"
+    mw_world.set_block(pos, "air")
     ev = mw_world.schedule("regrow-block", (pos, "slime_block"), 5)
     for _ in range(4):
         mw_world.step_tick()
@@ -77,7 +79,7 @@ def test_schedule_fires_at_sampled_tick(mw_world):
 
 def test_cancelled_timer_never_fires(mw_world):
     pos = (2, 2)
-    mw_world.cells[pos].kind = "air"
+    mw_world.set_block(pos, "air")
     ev = mw_world.schedule("regrow-block", (pos, "slime_block"), 3)
     mw_world.cancel(ev)
     for _ in range(10):
@@ -143,11 +145,11 @@ def edited_worlds(draw):
         st.tuples(st.sampled_from(["air", "delete", "place"]), st.tuples(x, z), kinds), max_size=60
     )):
         if op == "place":
-            world.cells[key] = BlockCell(kind)
+            world.set_block(key, kind)
         elif op == "delete":
-            world.cells.pop(key, None)
+            world.clear_block(key)
         elif key in world.cells:
-            world.cells[key].kind = "air"
+            world.set_block(key, "air")
     for mob in world.mobs:
         mob.alive = draw(st.booleans())
     for agent in world.agents:
@@ -247,8 +249,74 @@ def test_layout_rejects_unknown_keys():
             load_layout_text(tiny_layout(entry))
 
 
+def test_layout_rejects_overlapping_team_areas():
+    overlapping = tiny_layout().replace("blue: [2, 0, 3, 3]", "blue: [1, 2, 3, 3]")
+    with pytest.raises(LayoutError, match="areas for 'red' and 'blue' overlap"):
+        load_layout_text(overlapping)
+    touching = tiny_layout().replace("red: [0, 0, 1, 3]", "red: [0, 0, 1, 1]")
+    assert load_layout_text(touching.replace("blue: [2, 0, 3, 3]", "blue: [0, 2, 3, 3]"))
+
+
+def oracle_index(world):
+    """The cell index rebuilt from ``world.cells``: kind, then owning
+    area, then positions."""
+    index = {}
+    for pos, cell in world.cells.items():
+        index.setdefault(cell.kind, {}).setdefault(world.area_of(*pos), set()).add(pos)
+    return index
+
+
+INDEX_MATCHUPS = {
+    # sabotage_place/destroy in mushroom_war; transformFarm and ground items in dash_and_dine
+    "mushroom_war": ("aggressive", "slimy"),
+    "dash_and_dine": ("berries", "potato_cookie"),
+}
+INDEX_KINDS = ["air", "slime_block", "red_mushroom_block", "wheat", "sweet_berry_bush",
+               "potatoes", "farmland"]
+
+
+@st.composite
+def block_edits(draw, scenario):
+    layout = load_builtin_layout(scenario)
+    key = st.tuples(st.integers(0, layout.width - 1), st.integers(0, layout.depth - 1))
+    return draw(st.lists(
+        st.tuples(st.sampled_from(["set", "clear"]), key, st.sampled_from(INDEX_KINDS)),
+        max_size=40,
+    ))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data(), st.integers(0, 3))
+def test_cell_index_matches_the_cells_after_edits_and_an_episode(data, seed):
+    for scenario, (red, blue) in INDEX_MATCHUPS.items():
+        edits = data.draw(block_edits(scenario), label=scenario)
+        made = []
+
+        def edited_world(layout, seed):
+            world = new_world(layout, seed)
+            for op, key, kind in edits:
+                if op == "set":
+                    world.set_block(key, kind)
+                else:
+                    world.clear_block(key)
+                assert world.cell_index == oracle_index(world)
+            made.append(world)
+            return world
+
+        systems = {
+            "red": BuiltinTeamSystem(builtin(red, scenario)),
+            "blue": BuiltinTeamSystem(builtin(blue, scenario)),
+        }
+        with mock.patch.object(tb_runner, "new_world", edited_world):
+            result = run_episode(get_scenario(scenario, duration_ticks=600), systems, seed)
+        assert made[0].cell_index == oracle_index(made[0])
+        if scenario == "dash_and_dine" and not edits:
+            assert any(ev.payload.startswith("Converted") for ev in result.chat_log)
+
+
 def test_set_block_creates_or_replaces_a_cell_at_stage_zero(mw_world):
-    mw_world.cells[(0, 0)] = BlockCell("wheat", growth_stage=3)
+    mw_world.set_block((0, 0), "wheat")
+    mw_world.cells[(0, 0)].growth_stage = 3
     mw_world.set_block((0, 0), "farmland")
     mw_world.set_block((1, 0), "wheat")
     assert mw_world.cells[(0, 0)] == BlockCell("farmland", 0)

@@ -6,9 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..actionlang import ActionProgram, pretty_print
-# bound here for perfbench/layers.py, which traces them by module
-from ..actionlang import parse_source, validate  # noqa: F401
+from ..actionlang import ActionProgram, parse_source, pretty_print
+# bound here for perfbench/layers.py, which traces it by module
+from ..actionlang import validate  # noqa: F401
 from ..systems import AgentView, Request, ScenarioMetadata, ScriptDriver, ScriptTeam
 from .client import ChatClient
 from .dedup import dedup_events
@@ -40,11 +40,10 @@ def cot_baseline(
     prompt: str,
     agent_count: int,
     table,
-    temperature: float = 0.3,
 ) -> list[Optional[ActionProgram]]:
     """One model call; returns a program per agent, None where parsing or
     validation failed (that agent falls back to a wait loop)."""
-    resp = _chat(client, "cot", prompt, temperature)
+    resp = _chat(client, "cot", prompt)
     try:
         blocks = extract_tagged(resp.text, PROGRAM_OPEN, PROGRAM_CLOSE)
     except TagParseError:
@@ -56,10 +55,9 @@ def cot_baseline(
 class CoTTeamSystem(ScriptTeam):
     """Single-prompt baseline team system; persists last-episode history."""
 
-    def __init__(self, client: ChatClient, temperature: float = 0.3) -> None:
+    def __init__(self, client: ChatClient) -> None:
         super().__init__()
         self.client = client
-        self.temperature = temperature
         self.templates = PromptTemplates()
         self._memory = _EpisodeMemory()
 
@@ -92,30 +90,22 @@ class CoTTeamSystem(ScriptTeam):
             constants=render_constants(metadata.constants.get(team_id, {})),
             history=history,
         )
-        programs = cot_baseline(
-            self.client, prompt, len(agents), metadata.primitive_table, self.temperature
-        )
-        self.drivers = {}
-        texts = []
-        for name, program in zip(agents, programs):
-            driver = ScriptDriver()
-            if program is None:
-                driver.load_source(WAIT_LOOP_SOURCE)
-                texts.append(WAIT_LOOP_SOURCE)
-            else:
+        programs = cot_baseline(self.client, prompt, len(agents), metadata.primitive_table)
+        # an agent left without a program gets the wait loop at its first poll
+        self.drivers = {name: ScriptDriver() for name in agents}
+        for driver, program in zip(self.drivers.values(), programs):
+            if program is not None:
                 driver.load(program)
-                texts.append(pretty_print(program))
-            self.drivers[name] = driver
+        texts = [WAIT_LOOP_SOURCE if p is None else pretty_print(p) for p in programs]
         self._memory = _EpisodeMemory(programs="\n\n".join(texts), log=TeamLog(agents))
 
     def next_request(self, agent_name: str, view: AgentView) -> Optional[Request]:
         self._memory.log.extend(agent_name, view.new_events)
-        driver = self.drivers[agent_name]
-        req = driver.next_request(view)
-        if req is not None:
-            return req
+        return super().next_request(agent_name, view)
+
+    def next_program(self, agent_name: str, view: AgentView) -> ActionProgram:
         # no regeneration mid-episode: an ended program leaves a wait loop
+        driver = self.drivers[agent_name]
         if driver.status == "error" and not self._memory.error:
             self._memory.error = driver.error_message or ""
-        driver.load_source(WAIT_LOOP_SOURCE)
-        return driver.next_request(view)
+        return parse_source(WAIT_LOOP_SOURCE)

@@ -212,11 +212,8 @@ def render_constants(constants: dict[str, object]) -> str:
 # -- pipeline operations -----------------------------------------------------
 
 
-def _chat(client: ChatClient, purpose: str, prompt: str, temperature: float):
-    request = ChatCompletionRequest(
-        messages=[ChatMessage("user", prompt)], temperature=temperature, purpose=purpose
-    )
-    return client.chat(request)
+def _chat(client: ChatClient, purpose: str, prompt: str):
+    return client.chat(ChatCompletionRequest([ChatMessage("user", prompt)], purpose=purpose))
 
 
 def tactics_init(
@@ -224,7 +221,6 @@ def tactics_init(
     templates: PromptTemplates,
     desc: GameDescription,
     graph: CausalGraph,
-    temperature: float = 0.3,
 ) -> Tactics:
     prompt = templates.fill(
         "p_a",
@@ -236,7 +232,7 @@ def tactics_init(
         causal_graph=graph.serialize() or "(empty)",
     )
     for _ in range(2):
-        resp = _chat(client, "tactics", prompt, temperature)
+        resp = _chat(client, "tactics", prompt)
         try:
             return Tactics.parse(resp.text)
         except TagParseError:
@@ -252,7 +248,6 @@ def tactics_update(
     graph: CausalGraph,
     opponent: OpponentTactics,
     previous: Optional[Tactics],
-    temperature: float = 0.3,
 ) -> Tactics:
     previous = previous or Tactics([FALLBACK_TACTICS_LINE])
     prompt = templates.fill(
@@ -268,7 +263,7 @@ def tactics_update(
         opponent_tactics=opponent.to_text(),
     )
     for _ in range(2):
-        resp = _chat(client, "tactics", prompt, temperature)
+        resp = _chat(client, "tactics", prompt)
         try:
             return Tactics.parse(resp.text)
         except TagParseError:
@@ -302,7 +297,6 @@ def causal_init(
     templates: PromptTemplates,
     desc: GameDescription,
     table,
-    temperature: float = 0.3,
 ) -> CausalGraph:
     prompt = templates.fill(
         "p_c",
@@ -312,7 +306,7 @@ def causal_init(
     )
     graph = CausalGraph()
     for _ in range(2):
-        resp = _chat(client, "causal", prompt, temperature)
+        resp = _chat(client, "causal", prompt)
         graph = CausalGraph.parse_lenient(resp.text)
         if len(graph):
             break
@@ -325,7 +319,6 @@ def causal_update(
     desc: GameDescription,
     compact: list[Event],
     graph: CausalGraph,
-    temperature: float = 0.3,
 ) -> CausalGraph:
     prompt = templates.fill(
         "p_d",
@@ -334,7 +327,7 @@ def causal_update(
         history=render_member_history(compact, desc.agents),
     )
     for _ in range(2):
-        resp = _chat(client, "causal", prompt, temperature)
+        resp = _chat(client, "causal", prompt)
         new = CausalGraph.parse_lenient(resp.text)
         if len(new):
             return graph.union(new)
@@ -348,7 +341,6 @@ def opponent_update(
     compact: list[Event],
     opponent_members: list[str],
     previous: OpponentTactics,
-    temperature: float = 0.3,
 ) -> OpponentTactics:
     prompt = templates.fill(
         "p_e",
@@ -358,7 +350,7 @@ def opponent_update(
         opponent_chat=opponent_chat_lines(compact, opponent_members),
         previous_opponent_tactics=previous.to_text(),
     )
-    resp = _chat(client, "opponent", prompt, temperature)
+    resp = _chat(client, "opponent", prompt)
     text = resp.text.strip()
     if not text or text.lower() == UNKNOWN:
         return previous if not previous.is_unknown else OpponentTactics()
@@ -448,10 +440,9 @@ class _BaseAgent:
 class TactiCrafterSystem(ScriptTeam):
     """Persistent team system wrapping the full agent pipeline."""
 
-    def __init__(self, client: ChatClient, temperature: float = 0.3) -> None:
+    def __init__(self, client: ChatClient) -> None:
         super().__init__()
         self.client = client
-        self.temperature = temperature
         self.templates = PromptTemplates()
         self.episode_counter = 0
         self.tactics: Optional[Tactics] = None
@@ -481,15 +472,13 @@ class TactiCrafterSystem(ScriptTeam):
         self.episode_counter += 1
         if self.episode_counter == 1 and self.tactics is None:
             self.graph = causal_init(
-                self.client, self.templates, self._desc, metadata.primitive_table, self.temperature
+                self.client, self.templates, self._desc, metadata.primitive_table
             )
-            self.tactics = tactics_init(
-                self.client, self.templates, self._desc, self.graph, self.temperature
-            )
+            self.tactics = tactics_init(self.client, self.templates, self._desc, self.graph)
         elif self._log.events:
             compact = dedup_events(self._log.events)
             self.graph = causal_update(
-                self.client, self.templates, self._desc, compact, self.graph, self.temperature
+                self.client, self.templates, self._desc, compact, self.graph
             )
             self.opponent_tactics = opponent_update(
                 self.client,
@@ -498,7 +487,6 @@ class TactiCrafterSystem(ScriptTeam):
                 compact,
                 list(self._meta.teams[opponent]),
                 self.opponent_tactics,
-                self.temperature,
             )
             self.tactics = tactics_update(
                 self.client,
@@ -508,7 +496,6 @@ class TactiCrafterSystem(ScriptTeam):
                 self.graph,
                 self.opponent_tactics,
                 self.tactics,
-                self.temperature,
             )
         self._agents = {
             name: _BaseAgent(name, i) for i, name in enumerate(metadata.teams[team_id])
@@ -517,7 +504,7 @@ class TactiCrafterSystem(ScriptTeam):
         self.drivers = {name: agent.driver for name, agent in self._agents.items()}
         # first roll-out iteration happens pre-game: no latency cost in-sim
         for agent in self._agents.values():
-            self._generate_program(agent, charge_latency=False)
+            agent.driver.load(self._generate_program(agent, charge_latency=False))
 
     def _program_prompt(self, agent: _BaseAgent) -> str:
         return self.templates.fill(
@@ -534,14 +521,12 @@ class TactiCrafterSystem(ScriptTeam):
             critique=agent.critique or "(none)",
         )
 
-    def _generate_program(self, agent: _BaseAgent, charge_latency: bool) -> None:
-        if agent.benched:
-            return
+    def _generate_program(self, agent: _BaseAgent, charge_latency: bool) -> ActionProgram:
         prompt = self._program_prompt(agent)
         latency = 0.0
         program: Optional[ActionProgram] = None
         for _ in range(2):
-            resp = _chat(self.client, "program", prompt, self.temperature)
+            resp = _chat(self.client, "program", prompt)
             latency = resp.latency
             try:
                 source = extract_tagged(resp.text, PROGRAM_OPEN, PROGRAM_CLOSE)[0]
@@ -559,12 +544,12 @@ class TactiCrafterSystem(ScriptTeam):
             # a finite pause until benched, so the failure count can keep
             # accumulating across retries until the bench threshold is reached
             program = parse_source(WAIT_LOOP_SOURCE if agent.benched else "wait(100)")
-        agent.driver.load(program)
         agent.iterations += 1
         if charge_latency:
             idle = round(latency * TICKS_PER_SECOND)
             agent.driver.charge_idle(idle)
             self.idle_ticks_charged += idle
+        return program
 
     def _criticize(self, agent: _BaseAgent, view: AgentView) -> None:
         obs = view.observation
@@ -587,24 +572,23 @@ class TactiCrafterSystem(ScriptTeam):
             status_report="\n".join(f"{k}: {v}" for k, v in status.items()),
             error=agent.driver.error_message or "(completed without error)",
         )
-        resp = _chat(self.client, "critic", prompt, self.temperature)
+        resp = _chat(self.client, "critic", prompt)
         agent.critique = resp.text.strip()
 
     # -- game phase ---------------------------------------------------
 
     def next_request(self, agent_name: str, view: AgentView) -> Optional[Request]:
-        agent = self._agents[agent_name]
         self._log.extend(agent_name, view.new_events)
-        req = agent.driver.next_request(view)
-        if req is not None:
-            return req
+        return super().next_request(agent_name, view)
+
+    def next_program(self, agent_name: str, view: AgentView) -> Optional[ActionProgram]:
+        agent = self._agents[agent_name]
         if agent.benched or view.tick >= view.duration:
             return None
         # program ended (error or clean completion): critique and regenerate
         agent.compact = dedup_events(self._log.view(agent_name), agent.dedup_memo)
         self._criticize(agent, view)
-        self._generate_program(agent, charge_latency=True)
-        return agent.driver.next_request(view)
+        return self._generate_program(agent, charge_latency=True)
 
     def post_game(self, score) -> None:
         self.iteration_counts = {n: self._agents[n].iterations for n in self._agents}

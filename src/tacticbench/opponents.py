@@ -2,11 +2,14 @@
 
 Opponent behavior ships as ActScript text assets (``opponents_data/*.act``)
 with ``$CONSTANT`` slots bound per team at game start: own server name, own
-chest coordinates, and the opponent area center.  A ``BuiltinTeamSystem``
-drives the scripts, restarting a program whenever it errors out.
+chest coordinates, and the opponent area center.  Both systems here are
+``ScriptTeam``s and only pick each agent's next program: a
+``BuiltinTeamSystem`` sequences its scripts (restarting the primary when it
+ends or errors out), and a ``RandomTeamSystem`` draws one random call.
 """
 from __future__ import annotations
 
+import functools
 import string
 from dataclasses import dataclass
 from importlib import resources
@@ -21,7 +24,7 @@ from .actionlang import (
     validate,
 )
 from .scenarios import CROPS, DASH_AND_DINE, MUSHROOM_WAR
-from .systems import AgentView, Request, ScenarioMetadata, ScriptDriver, ScriptTeam
+from .systems import AgentView, ScenarioMetadata, ScriptDriver, ScriptTeam
 from .world import Layout, Observation
 
 FALLBACK_RETRY_TICKS = 40  # min delay before retrying an errored primary
@@ -144,6 +147,7 @@ def builtin(name: str, scenario: str) -> OpponentSpec:
         raise ValueError(f"no builtin opponent {name!r} for scenario {scenario!r}") from None
 
 
+@functools.cache  # package files do not change under a running process
 def script_text(asset: str) -> str:
     return (resources.files("tacticbench") / "opponents_data" / asset).read_text()
 
@@ -200,61 +204,49 @@ class _AgentPolicy:
     """Sequencer for one agent: prologues once, then the primary forever,
     with an optional fallback pass after each primary error."""
 
-    def __init__(self, script: AgentScript, constants: dict[str, object]) -> None:
+    def __init__(
+        self, script: AgentScript, constants: dict[str, object], driver: ScriptDriver
+    ) -> None:
         self.script = script
         self.constants = constants
-        self.driver = ScriptDriver()
+        self.driver = driver
         # parsed once per asset: ExecState never mutates its program
         self._programs: dict[str, ActionProgram] = {}
         self.stage = "prologue"
         self.prologue_idx = 0
         self.primary_started_at = 0
-        self._advance(tick=0)
 
-    def _load(self, asset: str) -> None:
+    def _load(self, asset: str) -> ActionProgram:
         program = self._programs.get(asset)
         if program is None:
             program = parse_source(render_script(asset, self.constants))
             self._programs[asset] = program
-        self.driver.load(program)
+        return program
 
-    def _advance(self, tick: int) -> None:
-        """Pick the next program after the current one ends or errors."""
+    def advance(self, tick: int) -> ActionProgram:
+        """The next program, once the driver's has ended or errored (or
+        none is loaded yet)."""
         if self.stage == "prologue":
-            while self.prologue_idx < len(self.script.prologues):
+            if self.prologue_idx < len(self.script.prologues):
                 asset = self.script.prologues[self.prologue_idx]
                 self.prologue_idx += 1
-                self._load(asset)
-                return
+                return self._load(asset)
             self.stage = "primary"
             self.primary_started_at = tick
-            self._load(self.script.primary)
-            return
+            return self._load(self.script.primary)
         if self.stage == "primary":
             if self.driver.status == "error" and self.script.fallback:
                 self.stage = "fallback"
-                self._load(self.script.fallback)
-                return
+                return self._load(self.script.fallback)
             self.primary_started_at = tick
-            self._load(self.script.primary)
-            return
+            return self._load(self.script.primary)
         # fallback finished (or errored): retry the primary, but not faster
         # than the retry interval since the primary last started
         self.stage = "primary"
         remaining = self.primary_started_at + FALLBACK_RETRY_TICKS - tick
         self.primary_started_at = tick
-        self._load(self.script.primary)
         self.driver.charge_idle(max(0, remaining))
-
-    def next_request(self, view: AgentView) -> Optional[Request]:
-        for _ in range(8):  # programs always emit within a couple of reloads
-            req = self.driver.next_request(view)
-            if req is not None:
-                return req
-            if view.tick >= view.duration:
-                return None
-            self._advance(view.tick)
-        return None
+        return self._load(self.script.primary)
 
 
 class BuiltinTeamSystem(ScriptTeam):
@@ -271,15 +263,18 @@ class BuiltinTeamSystem(ScriptTeam):
 
     def pre_game(self, metadata: ScenarioMetadata, team_id: str, initial_obs) -> None:
         constants = metadata.constants.get(team_id, {})
-        agents = metadata.teams[team_id]
+        scripts = self.spec.scripts
+        self.drivers = {agent: ScriptDriver() for agent in metadata.teams[team_id]}
         self._policies = {
-            agent: _AgentPolicy(self.spec.scripts[min(i, len(self.spec.scripts) - 1)], constants)
-            for i, agent in enumerate(agents)
+            agent: _AgentPolicy(scripts[min(i, len(scripts) - 1)], constants, driver)
+            for i, (agent, driver) in enumerate(self.drivers.items())
         }
-        self.drivers = {agent: policy.driver for agent, policy in self._policies.items()}
 
-    def next_request(self, agent_name: str, view: AgentView) -> Optional[Request]:
-        return self._policies[agent_name].next_request(view)
+    # a class attribute so that perfbench/layers.py can trace this class's polls
+    next_request = ScriptTeam.next_request
+
+    def next_program(self, agent_name: str, view: AgentView) -> ActionProgram:
+        return self._policies[agent_name].advance(view.tick)
 
 
 # -- random baseline ----------------------------------------------------------
@@ -402,14 +397,6 @@ class RandomTeamSystem(ScriptTeam):
         self._metadata = metadata
         self.drivers = {name: ScriptDriver() for name in metadata.teams[team_id]}
 
-    def next_request(self, agent_name: str, view: AgentView) -> Optional[Request]:
-        driver = self.drivers[agent_name]
-        req = driver.next_request(view)
-        if req is not None:
-            return req
+    def next_program(self, agent_name: str, view: AgentView) -> ActionProgram:
         call = random_call(self._rng, self._metadata.primitive_table, view, self._metadata)
-        if call is None:
-            driver.load_source("wait(20)")
-        else:
-            driver.load(ActionProgram([call]))
-        return driver.next_request(view)
+        return parse_source("wait(20)") if call is None else ActionProgram([call])

@@ -17,23 +17,19 @@ from .world import NEUTRAL, AgentBody, Position, WorldState
 
 SEARCH_RADIUS = 64  # arenas are smaller than this; effectively whole-map search
 FAIL_TICKS = 10  # time lost on a failed primitive
+# tick costs of the work itself; ``_walk`` adds the travel
+MINE_TICKS_PER_BLOCK = 20
+CRAFT_TICKS_PER_ITEM = 10
+PLACE_TICKS = 10
+GIVE_TICKS = 5
+CHEST_TICKS = 10  # also the cost of loading a furnace
+KILL_TICKS = 40
+FARM_TICKS_PER_CELL = 15
 
 # blocks that cannot be mined away
 UNMINABLE = {"chest", "furnace", "crafting_table", "air", "farmland"}
 
 TRANSFORM_NEEDS_HOE = {("sweet_berry_bush", "potatoes")}
-
-
-@dataclass
-class Durations:
-    mine_per_block: int = 20
-    craft_per_item: int = 10
-    place: int = 10
-    give: int = 5
-    chest: int = 10
-    kill: int = 40
-    farm_per_cell: int = 15
-    travel_per_cell: int = 1
 
 
 @dataclass
@@ -57,7 +53,6 @@ def execute(
     config: ScenarioConfig,
     agent: AgentBody,
     request: PrimitiveRequest,
-    durations: Durations = Durations(),
 ) -> PrimResult:
     """Execute one primitive; broadcasts the outcome as chat."""
     name = request.name
@@ -79,7 +74,7 @@ def execute(
             return _fail(world, agent, f"{name}: bad argument {arg!r}")
     handler = _HANDLERS[name]
     try:
-        return handler(world, config, agent, request.args, durations)
+        return handler(world, config, agent, request.args)
     except ValueError as exc:
         return _fail(world, agent, str(exc))
 
@@ -104,7 +99,8 @@ def _ok(
 
 
 def _walk(world: WorldState, agent: AgentBody, target: Position, reach: int = 1) -> int:
-    """Move the agent within ``reach`` of target; returns travel ticks."""
+    """Move the agent within ``reach`` of target; returns travel ticks, one
+    per cell."""
     ax, az = agent.position.x, agent.position.z
     nx = target.x + max(-reach, min(reach, ax - target.x))
     nz = target.z + max(-reach, min(reach, az - target.z))
@@ -170,7 +166,7 @@ def _nearest_cell(
 # -- primitive handlers ------------------------------------------------------
 
 
-def _prim_mine_block(world, config, agent, args, dur) -> PrimResult:
+def _prim_mine_block(world, config, agent, args) -> PrimResult:
     kind = args[0]
     max_count = args[1]
     area = args[2] if len(args) > 2 else "any"
@@ -187,7 +183,7 @@ def _prim_mine_block(world, config, agent, args, dur) -> PrimResult:
         pos = _nearest_cell(world, agent, kind, area)
         if pos is None:
             break
-        total_ticks += _walk(world, agent, Position(pos[0], 0, pos[1])) * dur.travel_per_cell
+        total_ticks += _walk(world, agent, Position(pos[0], 0, pos[1]))
         drops = world.rules.mine_drops(world, pos, kind, agent)
         for item, n in drops.items():
             agent.inventory.add(item, n)
@@ -195,14 +191,14 @@ def _prim_mine_block(world, config, agent, args, dur) -> PrimResult:
         world.set_block(pos, "farmland" if kind in CROPS else "air")
         world.rules.on_block_removed(world, pos, kind, agent)
         mined += 1
-        total_ticks += dur.mine_per_block
+        total_ticks += MINE_TICKS_PER_BLOCK
     if mined == 0:
         return _fail(world, agent, f"No {kind} nearby")
     got = ", ".join(f"{n} {item}" for item, n in sorted(collected.items())) or "nothing"
     return _ok(world, agent, f"Mined {mined} {kind}, got {got}", total_ticks, value=mined)
 
 
-def _prim_craft_item(world, config, agent, args, dur) -> PrimResult:
+def _prim_craft_item(world, config, agent, args) -> PrimResult:
     item, count = args[0], args[1]
     if count < 1:
         raise ValueError(f"craftItem count must be >= 1, got {count}")
@@ -214,12 +210,12 @@ def _prim_craft_item(world, config, agent, args, dur) -> PrimResult:
         table = _nearest_cell(world, agent, "crafting_table")
         if table is None:
             raise ValueError(f"I cannot make {item} because there is no crafting table nearby")
-        travel += _walk(world, agent, Position(*_xz(table))) * dur.travel_per_cell
+        travel += _walk(world, agent, Position(*_xz(table)))
     if recipe.needs_mob:
         mob = _nearest_mob(world, agent, recipe.needs_mob)
         if mob is None:
             raise ValueError(f"I cannot make {item} because there is no {recipe.needs_mob} nearby")
-        travel += _walk(world, agent, mob.position) * dur.travel_per_cell
+        travel += _walk(world, agent, mob.position)
     can_make = min(
         count, min(agent.inventory.count(ing) // n for ing, n in recipe.inputs.items())
     )
@@ -236,28 +232,28 @@ def _prim_craft_item(world, config, agent, args, dur) -> PrimResult:
     agent.inventory.add(item, made)
     for ret, n in recipe.returns.items():
         agent.inventory.add(ret, n * can_make)
-    ticks = travel + dur.craft_per_item * can_make
+    ticks = travel + CRAFT_TICKS_PER_ITEM * can_make
     return _ok(world, agent, f"Crafted {made} {item}", ticks, value=made)
 
 
-def _prim_place_item(world, config, agent, args, dur) -> PrimResult:
+def _prim_place_item(world, config, agent, args) -> PrimResult:
     item, x, z = args[0], args[1], args[2]
     if agent.inventory.count(item) == 0:
         raise ValueError(f"I have no {item} to place")
     target = _free_cell_near(world, x, z)
     if target is None:
         raise ValueError(f"No free cell near ({x}, {z}) to place {item}")
-    travel = _walk(world, agent, Position(*_xz(target))) * dur.travel_per_cell
+    travel = _walk(world, agent, Position(*_xz(target)))
     agent.inventory.remove(item, 1)
     world.set_block(target, item)
     world.rules.on_block_placed(world, target, item, agent)
     return _ok(
         world, agent, f"Placed {item} at ({target[0]}, {target[1]})",
-        travel + dur.place, value=target,
+        travel + PLACE_TICKS, value=target,
     )
 
 
-def _prim_smelt_item(world, config, agent, args, dur) -> PrimResult:
+def _prim_smelt_item(world, config, agent, args) -> PrimResult:
     item, _fuel, count = args[0], args[1], args[2]
     if count <= 0:
         return _ok(world, agent, f"Nothing to smelt ({count} {item})", 1, value=0)
@@ -274,7 +270,7 @@ def _prim_smelt_item(world, config, agent, args, dur) -> PrimResult:
         raise ValueError("All furnaces are busy")
     free.sort(key=lambda f: agent.position.chebyshev(f.position))
     furnace = free[0]
-    travel = _walk(world, agent, furnace.position) * dur.travel_per_cell
+    travel = _walk(world, agent, furnace.position)
     k = min(count, held)
     agent.inventory.remove(item, k)
     start = world.tick + travel
@@ -284,25 +280,25 @@ def _prim_smelt_item(world, config, agent, args, dur) -> PrimResult:
     furnace.queued += k
     return _ok(
         world, agent, f"Queued {k} {item} for smelting into {out_item}",
-        travel + dur.chest, value=k,
+        travel + CHEST_TICKS, value=k,
     )
 
 
-def _prim_farm(world, config, agent, args, dur) -> PrimResult:
+def _prim_farm(world, config, agent, args) -> PrimResult:
     mode, crop_name = args[0], args[1]
     crop = CROPS.get(crop_name)
     if crop is None:
         raise ValueError(f"Unknown crop {crop_name}")
     if mode == "harvest":
-        return _farm_harvest(world, agent, crop, dur)
+        return _farm_harvest(world, agent, crop)
     if mode == "destroy":
-        return _farm_destroy(world, agent, crop, dur)
+        return _farm_destroy(world, agent, crop)
     if mode == "plant":
-        return _farm_plant(world, agent, crop, dur)
+        return _farm_plant(world, agent, crop)
     raise ValueError(f"farm mode must be plant/harvest/destroy, got {mode!r}")
 
 
-def _farm_harvest(world, agent, crop, dur) -> PrimResult:
+def _farm_harvest(world, agent, crop) -> PrimResult:
     done = 0
     ticks = 0
     collected: dict[str, int] = {}
@@ -310,7 +306,7 @@ def _farm_harvest(world, agent, crop, dur) -> PrimResult:
         pos = _nearest_cell(world, agent, crop.name, min_stage=crop.max_stage)
         if pos is None:
             break
-        ticks += _walk(world, agent, Position(*_xz(pos))) * dur.travel_per_cell
+        ticks += _walk(world, agent, Position(*_xz(pos)))
         for item, n in crop.harvest_yield.items():
             agent.inventory.add(item, n)
             collected[item] = collected.get(item, 0) + n
@@ -320,21 +316,21 @@ def _farm_harvest(world, agent, crop, dur) -> PrimResult:
             world.set_block(pos, crop.name)
         world.rules.ensure_growth(world, pos)
         done += 1
-        ticks += dur.farm_per_cell
+        ticks += FARM_TICKS_PER_CELL
     if done == 0:
         raise ValueError(f"No mature {crop.name} to harvest")
     got = ", ".join(f"{n} {item}" for item, n in sorted(collected.items()))
     return _ok(world, agent, f"Harvested {done} {crop.name}, got {got}", ticks, value=done)
 
 
-def _farm_destroy(world, agent, crop, dur) -> PrimResult:
+def _farm_destroy(world, agent, crop) -> PrimResult:
     done = 0
     ticks = 0
     while done < FARM_CELLS_PER_CALL:
         pos = _nearest_cell(world, agent, crop.name)
         if pos is None:
             break
-        ticks += _walk(world, agent, Position(*_xz(pos))) * dur.travel_per_cell
+        ticks += _walk(world, agent, Position(*_xz(pos)))
         if world.cells[pos].growth_stage >= crop.max_stage:
             drops = dict(crop.destroy_drops)
         elif crop.replant_consumes_seed:
@@ -345,13 +341,13 @@ def _farm_destroy(world, agent, crop, dur) -> PrimResult:
             agent.inventory.add(item, n)
         world.set_block(pos, "farmland")
         done += 1
-        ticks += dur.farm_per_cell
+        ticks += FARM_TICKS_PER_CELL
     if done == 0:
         raise ValueError(f"No {crop.name} to destroy")
     return _ok(world, agent, f"Destroyed {done} {crop.name}", ticks, value=done)
 
 
-def _farm_plant(world, agent, crop, dur) -> PrimResult:
+def _farm_plant(world, agent, crop) -> PrimResult:
     if agent.inventory.count(crop.seed) == 0:
         raise ValueError(f"I cannot plant {crop.name} because I have no {crop.seed}")
     done = 0
@@ -360,34 +356,34 @@ def _farm_plant(world, agent, crop, dur) -> PrimResult:
         pos = _nearest_cell(world, agent, "farmland")
         if pos is None:
             break
-        ticks += _walk(world, agent, Position(*_xz(pos))) * dur.travel_per_cell
+        ticks += _walk(world, agent, Position(*_xz(pos)))
         agent.inventory.remove(crop.seed, 1)
         world.set_block(pos, crop.name)
         world.rules.ensure_growth(world, pos)
         done += 1
-        ticks += dur.farm_per_cell
+        ticks += FARM_TICKS_PER_CELL
     if done == 0:
         raise ValueError(f"No tilled soil to plant {crop.name}")
     return _ok(world, agent, f"Planted {done} {crop.name}", ticks, value=done)
 
 
-def _prim_kill_mob(world, config, agent, args, dur) -> PrimResult:
+def _prim_kill_mob(world, config, agent, args) -> PrimResult:
     kind = args[0]
     timeout = args[1] if len(args) > 1 else 300
     mob = _nearest_mob(world, agent, kind)
     if mob is None:
         return _fail(world, agent, f"No {kind} found within timeout", duration=max(1, timeout))
-    travel = _walk(world, agent, mob.position) * dur.travel_per_cell
+    travel = _walk(world, agent, mob.position)
     mob.alive = False
     drops = MOB_DROPS.get(kind, {})
     for item, n in drops.items():
         agent.inventory.add(item, n)
     world.schedule("mob-respawn", mob, config.regrow.mob_respawn_delay)
     got = ", ".join(f"{n} {item}" for item, n in sorted(drops.items())) or "nothing"
-    return _ok(world, agent, f"Killed {kind}, got {got}", travel + dur.kill, value=drops)
+    return _ok(world, agent, f"Killed {kind}, got {got}", travel + KILL_TICKS, value=drops)
 
 
-def _prim_give_to_player(world, config, agent, args, dur) -> PrimResult:
+def _prim_give_to_player(world, config, agent, args) -> PrimResult:
     item, player, count = args[0], args[1], args[2]
     try:
         recipient = world.agent(player)
@@ -399,7 +395,7 @@ def _prim_give_to_player(world, config, agent, args, dur) -> PrimResult:
     if held == 0:
         raise ValueError(f"I have no {item} to give")
     k = held if count < 0 else min(count, held)
-    travel = _walk(world, agent, recipient.position) * dur.travel_per_cell
+    travel = _walk(world, agent, recipient.position)
     agent.inventory.remove(item, k)
     recipient.inventory.add(item, k)
     points = 0
@@ -408,10 +404,10 @@ def _prim_give_to_player(world, config, agent, args, dur) -> PrimResult:
     msg = f"Gave {k} {item} to {player}"
     if points:
         msg += f" (+{points} points)"
-    return _ok(world, agent, msg, travel + dur.give, value=k)
+    return _ok(world, agent, msg, travel + GIVE_TICKS, value=k)
 
 
-def _prim_use_chest(world, config, agent, args, dur) -> PrimResult:
+def _prim_use_chest(world, config, agent, args) -> PrimResult:
     mode, x, z = args[0], args[1], args[2]
     item = args[3] if len(args) > 3 else None
     count = args[4] if len(args) > 4 else 0
@@ -420,8 +416,8 @@ def _prim_use_chest(world, config, agent, args, dur) -> PrimResult:
     if cell is None or cell.kind != "chest" or pos not in world.containers:
         raise ValueError(f"There is no chest at ({x}, {z})")
     chest = world.containers[pos]
-    travel = _walk(world, agent, Position(x, 0, z)) * dur.travel_per_cell
-    ticks = travel + dur.chest
+    travel = _walk(world, agent, Position(x, 0, z))
+    ticks = travel + CHEST_TICKS
     if mode == "check":
         return _ok(world, agent, f"Checked chest at ({x}, {z})", ticks, value=chest.as_dict())
     if item is None:
@@ -442,7 +438,7 @@ def _prim_use_chest(world, config, agent, args, dur) -> PrimResult:
     raise ValueError(f"useChest mode must be get/deposit/check, got {mode!r}")
 
 
-def _prim_signal(world, config, agent, args, dur) -> PrimResult:
+def _prim_signal(world, config, agent, args) -> PrimResult:
     mode = args[0]
     peer = args[1] if len(args) > 1 else "any"
     timeout = args[2] if len(args) > 2 else 30000
@@ -478,17 +474,17 @@ def _prim_signal(world, config, agent, args, dur) -> PrimResult:
     raise ValueError(f"signal mode must be send/wait, got {mode!r}")
 
 
-def _prim_transform_farm(world, config, agent, args, dur) -> PrimResult:
+def _prim_transform_farm(world, config, agent, args) -> PrimResult:
     source, target = args[0], args[1]
     needs_hoe = (source, target) in TRANSFORM_NEEDS_HOE
     nearest = _nearest_cell(world, agent, source)
     if nearest is None:
         raise ValueError(f"No {source} cells to convert")
-    travel = _walk(world, agent, Position(*_xz(nearest))) * dur.travel_per_cell
+    travel = _walk(world, agent, Position(*_xz(nearest)))
     converted = sabotage_transform(world, source, target, agent, needs_hoe=needs_hoe)
     return _ok(
         world, agent, f"Converted {converted} {source} into {target}",
-        travel + dur.farm_per_cell * converted, value=converted,
+        travel + FARM_TICKS_PER_CELL * converted, value=converted,
     )
 
 

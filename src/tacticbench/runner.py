@@ -9,7 +9,7 @@ from typing import Optional
 
 from .actionlang import PrimitiveRequest, SayRequest, WaitRequest
 from .opponents import team_constants
-from .primitives import Durations, execute
+from .primitives import execute
 from .scenarios import (
     DASH_AND_DINE,
     MUSHROOM_WAR,
@@ -96,7 +96,6 @@ def run_episode(
     config: ScenarioConfig,
     systems: dict[str, TeamSystem],
     seed: int,
-    durations: Durations = Durations(),
 ) -> EpisodeResult:
     """Run one full episode and return its record.
 
@@ -199,7 +198,7 @@ def run_episode(
                 agent.busy_until = world.tick + 1
                 outcome = ExecOutcome(True, req.text, 1, req)
             elif isinstance(req, PrimitiveRequest):
-                res = execute(world, config, agent, req, durations)
+                res = execute(world, config, agent, req)
                 if not res.blocking:
                     agent.busy_until = world.tick + res.duration
                 outcome = ExecOutcome(res.ok, res.message, res.duration, req)

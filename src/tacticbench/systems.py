@@ -4,9 +4,11 @@ touches an episode.
 Systems implement three phases: ``pre_game`` (scenario metadata, team id,
 initial observations), the game phase (the runner polls ``next_request``
 per free agent and reports outcomes through ``on_result``), and
-``post_game``.  A system object persists between episodes of a matchup.
-Systems never receive the world object or the opposing system, only
-observations, chat events, and static metadata.
+``post_game``.  Systems that act through ActScript subclass ``ScriptTeam``,
+which runs the poll, and only pick each agent's next program.  A system
+object persists between episodes of a matchup.  Systems never receive the
+world object or the opposing system, only observations, chat events, and
+static metadata.
 """
 from __future__ import annotations
 
@@ -20,9 +22,10 @@ from .actionlang import (
     PrimitiveTable,
     SayRequest,
     WaitRequest,
-    parse_source,
     step,
 )
+# bound here for perfbench/layers.py, which traces it by module
+from .actionlang import parse_source  # noqa: F401
 from .world import Event, Inventory, Observation
 
 Request = Union[PrimitiveRequest, WaitRequest, SayRequest]
@@ -126,8 +129,9 @@ class ScriptDriver:
     """Runs one agent's loaded ActScript program one request at a time.
 
     ``next_request`` returns None once the program has finished or errored;
-    the owning team system then loads the next program.  Idle ticks charged
-    with ``charge_idle`` are served as one wait before the program resumes.
+    the owning ``ScriptTeam`` then loads the next program.  Idle ticks
+    charged with ``charge_idle`` are served as one wait before the program
+    resumes.
     """
 
     def __init__(self) -> None:
@@ -136,9 +140,6 @@ class ScriptDriver:
 
     def load(self, program: ActionProgram) -> None:
         self.exec = ExecState(program)
-
-    def load_source(self, source: str) -> None:
-        self.load(parse_source(source))
 
     @property
     def status(self) -> str:
@@ -168,11 +169,35 @@ class ScriptDriver:
 
 class ScriptTeam:
     """Base of the team systems that run each agent through a
-    ``ScriptDriver``: outcomes go to the agent's driver, and the game ends
-    with nothing to learn unless a subclass overrides ``post_game``."""
+    ``ScriptDriver``.
+
+    ``next_request`` is the one poll: it asks the agent's driver for a
+    request, and once the loaded program has ended or errored it loads the
+    program ``next_program`` picks and asks again, once.  A subclass sets up
+    ``drivers`` in ``pre_game`` and implements ``next_program``.  When that
+    returns None, or its program ends without a request, the agent idles
+    until its next poll.  Outcomes go to the agent's driver, and the game
+    ends with nothing to learn unless a subclass overrides ``post_game``.
+    """
 
     def __init__(self) -> None:
         self.drivers: dict[str, ScriptDriver] = {}
+
+    def next_request(self, agent_name: str, view: AgentView) -> Optional[Request]:
+        driver = self.drivers[agent_name]
+        req = driver.next_request(view)
+        if req is not None:
+            return req
+        program = self.next_program(agent_name, view)
+        if program is None:
+            return None
+        driver.load(program)
+        return driver.next_request(view)
+
+    def next_program(self, agent_name: str, view: AgentView) -> Optional[ActionProgram]:
+        """The program ``agent_name`` runs next, its last one having ended
+        or errored (or none being loaded yet); None leaves it idle."""
+        raise NotImplementedError
 
     def on_result(self, agent_name: str, outcome: ExecOutcome) -> None:
         self.drivers[agent_name].report(outcome)

@@ -28,7 +28,7 @@ from tacticbench.bench import (
 import tacticbench.bench as bench
 from tacticbench.metrics import latency_stats, metric_values
 from tacticbench.opponents import BuiltinTeamSystem, builtin, list_builtin
-from tacticbench.primitives import Durations, execute
+from tacticbench.primitives import execute
 from tacticbench.runner import run_episode
 from tacticbench.scenarios import (
     SLIME_ELIGIBILITY_MAX,
@@ -219,7 +219,7 @@ def test_criterion_05_first_score_comes_later_in_dash_and_dine(mw_round_robins, 
 
 def _exec(world, config, agent, name, *args):
     request = PrimitiveRequest(name, list(args), Call(name, list(args)))
-    return execute(world, config, world.agent(agent), request, Durations())
+    return execute(world, config, world.agent(agent), request)
 
 
 def test_criterion_06_unique_three_food_types():

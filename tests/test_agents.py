@@ -524,6 +524,44 @@ def test_tacticrafter_benches_agents_after_repeated_parse_failures(response):
     assert result.scores["red"] == 0  # wait-loop team cannot score
 
 
+def test_tacticrafter_regenerates_once_per_poll_when_programs_end_without_a_request(
+    monkeypatch,
+):
+    """A valid program that ends without a request costs one regeneration
+    per poll, and the agent idles ``wait_ticks`` until the next poll."""
+    program = '<program>\nif has("diamond", 1) { wait(5) }\n</program>'
+    client = MockChatClient(
+        responder=lambda p, t: program if p == "program" else default_mock_responder(p, t)
+    )
+    system = TactiCrafterSystem(client)
+    polls: dict[str, list[int]] = {}
+    regenerations: dict[str, int] = {}
+    real_next_request = TactiCrafterSystem.next_request
+    real_generate = TactiCrafterSystem._generate_program
+
+    def polled(self, agent_name, view):
+        polls.setdefault(agent_name, []).append(view.tick)
+        req = real_next_request(self, agent_name, view)
+        assert req is None
+        return req
+
+    def generate(self, agent, charge_latency):
+        if charge_latency:
+            regenerations[agent.name] = regenerations.get(agent.name, 0) + 1
+        return real_generate(self, agent, charge_latency)
+
+    monkeypatch.setattr(TactiCrafterSystem, "next_request", polled)
+    monkeypatch.setattr(TactiCrafterSystem, "_generate_program", generate)
+    config = get_scenario("mushroom_war", duration_ticks=400)
+    _short_episode(system, ticks=config.duration_ticks)
+    wait = config.wait_ticks
+    assert set(polls) == set(system._agents)
+    for name, ticks in polls.items():
+        assert ticks == list(range(0, config.duration_ticks, wait))
+        assert regenerations[name] == len(ticks)
+        assert system.iteration_counts[name] == len(ticks) + 1  # plus the pre-game one
+
+
 def test_tacticrafter_second_episode_runs_the_update_path():
     client = make_mock_client()
     system = TactiCrafterSystem(client)

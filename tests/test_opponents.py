@@ -20,7 +20,7 @@ from tacticbench.opponents import (
 )
 from tacticbench.runner import build_metadata, run_episode
 from tacticbench.scenarios import get_scenario
-from tacticbench.systems import AgentView
+from tacticbench.systems import AgentView, ScriptDriver
 from tacticbench.world import new_world
 
 
@@ -84,6 +84,8 @@ def test_every_builtin_script_renders_parses_and_validates():
         config = get_scenario(scenario)
         for team in ("red", "blue"):
             constants = team_constants(config.layout, team)
+            agent = next(n for n, t, _ in config.layout.agent_starts if t == team)
+            view, _ = _view(scenario, agent)
             for name in list_builtin(scenario):
                 spec = builtin(name, scenario)
                 for script in spec.scripts:
@@ -93,6 +95,13 @@ def test_every_builtin_script_renders_parses_and_validates():
                     for asset in assets:
                         program = parse_source(render_script(asset, constants))
                         assert not validate(program, config.primitive_table), (
+                            f"{scenario}/{name}/{asset}"
+                        )
+                        # one reload per poll is enough: a fresh program
+                        # always asks for something at its first step
+                        driver = ScriptDriver()
+                        driver.load(program)
+                        assert driver.next_request(view) is not None, (
                             f"{scenario}/{name}/{asset}"
                         )
 
@@ -184,7 +193,7 @@ def test_policies_parse_each_script_once_and_never_change_it(monkeypatch):
         loads.append((id(self), asset))
         loading.append((id(self), asset))
         try:
-            real_load(self, asset)
+            return real_load(self, asset)
         finally:
             loading.pop()
 
@@ -204,7 +213,7 @@ def test_policies_parse_each_script_once_and_never_change_it(monkeypatch):
             assert pretty_print(program) == parsed[(key, asset)]
 
     def fresh_load(self, asset):
-        self.driver.load(real_parse(render_script(asset, self.constants)))
+        return real_parse(render_script(asset, self.constants))
 
     monkeypatch.setattr(opponents._AgentPolicy, "_load", fresh_load)
     fresh = play("mushroom_war", "passive", "passive", seed=0)

@@ -9,16 +9,14 @@ from tacticbench.actionlang.interp import PrimitiveRequest
 from tacticbench.actionlang.parse import Call
 from tacticbench.primitives import (
     FAIL_TICKS,
+    MINE_TICKS_PER_BLOCK,
     SEARCH_RADIUS,
-    Durations,
     _nearest_cell,
     _pickup_ground_items,
     execute,
 )
 from tacticbench.scenarios import SMELT_TICKS, get_scenario, make_rules
 from tacticbench.world import Inventory, Position, new_world
-
-DUR = Durations()
 
 
 def make_world(scenario: str, seed: int = 0):
@@ -34,7 +32,7 @@ def req(name: str, *args) -> PrimitiveRequest:
 
 
 def run(world, config, agent_name, request):
-    return execute(world, config, world.agent(agent_name), request, DUR)
+    return execute(world, config, world.agent(agent_name), request)
 
 
 def advance(world, ticks: int) -> None:
@@ -50,7 +48,7 @@ def test_mine_block_collects_and_clears_cells():
     res = run(world, config, "Ryn", req("mineBlock", "slime_block", 3, "own"))
     assert res.ok
     assert world.agent("Ryn").inventory.count("slime_block") == 3
-    assert res.duration >= 3 * DUR.mine_per_block  # plus travel
+    assert res.duration >= 3 * MINE_TICKS_PER_BLOCK  # plus travel
 
 
 def test_mine_block_own_area_never_crosses_sides():

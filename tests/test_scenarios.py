@@ -7,7 +7,7 @@ import pytest
 
 from tacticbench.actionlang.interp import PrimitiveRequest
 from tacticbench.actionlang.parse import Call
-from tacticbench.primitives import Durations, execute
+from tacticbench.primitives import execute
 from tacticbench.scenarios import (
     DEFAULT_FOOD_POINTS,
     DEFAULT_RECIPES,
@@ -31,7 +31,7 @@ def make_world(scenario: str, seed: int = 0):
 
 def call(world, config, agent_name, name, *args):
     request = PrimitiveRequest(name, list(args), Call(name, list(args)))
-    return execute(world, config, world.agent(agent_name), request, Durations())
+    return execute(world, config, world.agent(agent_name), request)
 
 
 def mushroom_timer_count(rules) -> int:

@@ -28,5 +28,4 @@ from .tacticrafter import (
     extract_tagged,
     opponent_chat_lines,
     render_events,
-    tactics_init,
 )

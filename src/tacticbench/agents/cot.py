@@ -13,7 +13,6 @@ from ..systems import AgentView, Request, ScenarioMetadata, ScriptDriver, Script
 from .client import ChatClient
 from .dedup import dedup_events
 from .tacticrafter import (
-    OBJECTIVES,
     PROGRAM_CLOSE,
     PROGRAM_OPEN,
     WAIT_LOOP_SOURCE,
@@ -23,7 +22,7 @@ from .tacticrafter import (
     _chat,
     compile_program,
     extract_tagged,
-    render_constants,
+    game_slots,
     render_events,
 )
 
@@ -81,13 +80,8 @@ class CoTTeamSystem(ScriptTeam):
             )
         prompt = self.templates.fill(
             "p_h",
-            team_name=team_id,
-            scenario=metadata.description,
-            objective=OBJECTIVES.get(metadata.scenario, "outscore the opposing team"),
-            agents=", ".join(agents),
+            **game_slots(metadata, team_id),
             surroundings="\n".join(surroundings),
-            primitives=metadata.primitive_docs,
-            constants=render_constants(metadata.constants.get(team_id, {})),
             history=history,
         )
         programs = cot_baseline(self.client, prompt, len(agents), metadata.primitive_table)

@@ -15,9 +15,9 @@ import json
 import logging
 import re
 import string
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
-from typing import Optional
+from typing import Callable, Optional, TypeVar
 
 from ..actionlang import ActionProgram, ParseError, parse_source, validate
 from ..systems import AgentView, Request, ScenarioMetadata, ScriptDriver, ScriptTeam
@@ -27,6 +27,7 @@ from .client import ChatClient, ChatCompletionRequest, ChatMessage
 from .dedup import DedupMemo, dedup_events
 
 log = logging.getLogger(__name__)
+T = TypeVar("T")
 
 TACTICS_OPEN, TACTICS_CLOSE = "<tactics>", "</tactics>"
 PROGRAM_OPEN, PROGRAM_CLOSE = "<program>", "</program>"
@@ -102,21 +103,6 @@ class OpponentTactics:
 
     def to_text(self) -> str:
         return UNKNOWN if self.is_unknown else "\n".join(self.lines)
-
-
-@dataclass
-class GameDescription:
-    team_name: str
-    objective: str
-    scenario_description: str
-    agents: list[str]
-    primitive_docs: str
-    opponent_name: str = ""
-    constants: dict[str, object] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.scenario_description:
-            raise ValueError("scenario description must be non-empty")
 
 
 # -- prompt templates --------------------------------------------------------
@@ -209,66 +195,27 @@ def render_constants(constants: dict[str, object]) -> str:
     return "\n".join(f"{k} = {v}" for k, v in sorted(constants.items()))
 
 
-# -- pipeline operations -----------------------------------------------------
+# -- game slots and model calls ----------------------------------------------
+
+
+def game_slots(metadata: ScenarioMetadata, team_id: str) -> dict[str, str]:
+    """The template slots that describe the game to ``team_id``; every
+    prompt of both model-driven systems fills its game slots from here."""
+    if not metadata.description:
+        raise ValueError("scenario description must be non-empty")
+    return {
+        "team_name": team_id,
+        "scenario": metadata.description,
+        "objective": OBJECTIVES.get(metadata.scenario, "outscore the opposing team"),
+        "agents": ", ".join(metadata.teams[team_id]),
+        "primitives": metadata.primitive_docs,
+        "constants": render_constants(metadata.constants.get(team_id, {})),
+        "opponent_name": metadata.opponent_of(team_id),
+    }
 
 
 def _chat(client: ChatClient, purpose: str, prompt: str):
     return client.chat(ChatCompletionRequest([ChatMessage("user", prompt)], purpose=purpose))
-
-
-def tactics_init(
-    client: ChatClient,
-    templates: PromptTemplates,
-    desc: GameDescription,
-    graph: CausalGraph,
-) -> Tactics:
-    prompt = templates.fill(
-        "p_a",
-        team_name=desc.team_name,
-        scenario=desc.scenario_description,
-        objective=desc.objective,
-        agents=", ".join(desc.agents),
-        primitives=desc.primitive_docs,
-        causal_graph=graph.serialize() or "(empty)",
-    )
-    for _ in range(2):
-        resp = _chat(client, "tactics", prompt)
-        try:
-            return Tactics.parse(resp.text)
-        except TagParseError:
-            continue
-    return Tactics([FALLBACK_TACTICS_LINE])
-
-
-def tactics_update(
-    client: ChatClient,
-    templates: PromptTemplates,
-    desc: GameDescription,
-    compact: list[Event],
-    graph: CausalGraph,
-    opponent: OpponentTactics,
-    previous: Optional[Tactics],
-) -> Tactics:
-    previous = previous or Tactics([FALLBACK_TACTICS_LINE])
-    prompt = templates.fill(
-        "p_b",
-        team_name=desc.team_name,
-        scenario=desc.scenario_description,
-        objective=desc.objective,
-        agents=", ".join(desc.agents),
-        primitives=desc.primitive_docs,
-        history=render_events(compact),
-        causal_graph=graph.serialize() or "(empty)",
-        previous_tactics=previous.to_text(),
-        opponent_tactics=opponent.to_text(),
-    )
-    for _ in range(2):
-        resp = _chat(client, "tactics", prompt)
-        try:
-            return Tactics.parse(resp.text)
-        except TagParseError:
-            continue
-    return previous
 
 
 def _stub_call(name: str, table) -> str:
@@ -292,74 +239,6 @@ def ensure_primitive_coverage(graph: CausalGraph, table) -> CausalGraph:
     return graph
 
 
-def causal_init(
-    client: ChatClient,
-    templates: PromptTemplates,
-    desc: GameDescription,
-    table,
-) -> CausalGraph:
-    prompt = templates.fill(
-        "p_c",
-        team_name=desc.team_name,
-        scenario=desc.scenario_description,
-        primitives=desc.primitive_docs,
-    )
-    graph = CausalGraph()
-    for _ in range(2):
-        resp = _chat(client, "causal", prompt)
-        graph = CausalGraph.parse_lenient(resp.text)
-        if len(graph):
-            break
-    return ensure_primitive_coverage(graph, table)
-
-
-def causal_update(
-    client: ChatClient,
-    templates: PromptTemplates,
-    desc: GameDescription,
-    compact: list[Event],
-    graph: CausalGraph,
-) -> CausalGraph:
-    prompt = templates.fill(
-        "p_d",
-        team_name=desc.team_name,
-        causal_graph=graph.serialize() or "(empty)",
-        history=render_member_history(compact, desc.agents),
-    )
-    for _ in range(2):
-        resp = _chat(client, "causal", prompt)
-        new = CausalGraph.parse_lenient(resp.text)
-        if len(new):
-            return graph.union(new)
-    return graph
-
-
-def opponent_update(
-    client: ChatClient,
-    templates: PromptTemplates,
-    desc: GameDescription,
-    compact: list[Event],
-    opponent_members: list[str],
-    previous: OpponentTactics,
-) -> OpponentTactics:
-    prompt = templates.fill(
-        "p_e",
-        opponent_name=desc.opponent_name,
-        scenario=desc.scenario_description,
-        objective=desc.objective,
-        opponent_chat=opponent_chat_lines(compact, opponent_members),
-        previous_opponent_tactics=previous.to_text(),
-    )
-    resp = _chat(client, "opponent", prompt)
-    text = resp.text.strip()
-    if not text or text.lower() == UNKNOWN:
-        return previous if not previous.is_unknown else OpponentTactics()
-    try:
-        return OpponentTactics(Tactics.parse(text).lines)
-    except TagParseError:
-        return previous
-
-
 # -- checkpoints -------------------------------------------------------------
 
 
@@ -372,17 +251,7 @@ class Checkpoint:
     opponent_tactics: list[str]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "version": self.version,
-                "episode_counter": self.episode_counter,
-                "tactics": self.tactics,
-                "causal_graph": self.causal_graph,
-                "opponent_tactics": self.opponent_tactics,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "Checkpoint":
@@ -449,7 +318,7 @@ class TactiCrafterSystem(ScriptTeam):
         self.graph = CausalGraph()
         self.opponent_tactics = OpponentTactics()
         self._agents: dict[str, _BaseAgent] = {}
-        self._desc: Optional[GameDescription] = None
+        self._slots: dict[str, str] = {}  # game_slots of the current episode
         self._meta: Optional[ScenarioMetadata] = None
         self._log = TeamLog()  # the current episode's, or else the last one's
         self.idle_ticks_charged = 0
@@ -459,44 +328,45 @@ class TactiCrafterSystem(ScriptTeam):
 
     def pre_game(self, metadata: ScenarioMetadata, team_id: str, initial_obs) -> None:
         self._meta = metadata
-        opponent = metadata.opponent_of(team_id)
-        self._desc = GameDescription(
-            team_name=team_id,
-            objective=OBJECTIVES.get(metadata.scenario, "outscore the opposing team"),
-            scenario_description=metadata.description,
-            agents=list(metadata.teams[team_id]),
-            primitive_docs=metadata.primitive_docs,
-            opponent_name=opponent,
-            constants=dict(metadata.constants.get(team_id, {})),
-        )
+        self._slots = game_slots(metadata, team_id)
         self.episode_counter += 1
         if self.episode_counter == 1 and self.tactics is None:
-            self.graph = causal_init(
-                self.client, self.templates, self._desc, metadata.primitive_table
-            )
-            self.tactics = tactics_init(self.client, self.templates, self._desc, self.graph)
+            graph = self._ask("causal", "p_c", CausalGraph.parse_lenient) or CausalGraph()
+            self.graph = ensure_primitive_coverage(graph, metadata.primitive_table)
+            self.tactics = self._ask(
+                "tactics", "p_a", Tactics.parse, causal_graph=self.graph.serialize() or "(empty)"
+            ) or Tactics([FALLBACK_TACTICS_LINE])
         elif self._log.events:
             compact = dedup_events(self._log.events)
-            self.graph = causal_update(
-                self.client, self.templates, self._desc, compact, self.graph
+            learned = self._ask(
+                "causal",
+                "p_d",
+                CausalGraph.parse_lenient,
+                causal_graph=self.graph.serialize() or "(empty)",
+                history=render_member_history(compact, metadata.teams[team_id]),
             )
-            self.opponent_tactics = opponent_update(
-                self.client,
-                self.templates,
-                self._desc,
-                compact,
-                list(self._meta.teams[opponent]),
-                self.opponent_tactics,
-            )
-            self.tactics = tactics_update(
-                self.client,
-                self.templates,
-                self._desc,
-                compact,
-                self.graph,
-                self.opponent_tactics,
-                self.tactics,
-            )
+            if learned:
+                self.graph = self.graph.union(learned)
+            self.opponent_tactics = self._ask(
+                "opponent",
+                "p_e",
+                lambda text: OpponentTactics(Tactics.parse(text).lines),
+                tries=1,
+                opponent_chat=opponent_chat_lines(
+                    compact, metadata.teams[metadata.opponent_of(team_id)]
+                ),
+                previous_opponent_tactics=self.opponent_tactics.to_text(),
+            ) or self.opponent_tactics
+            previous = self.tactics or Tactics([FALLBACK_TACTICS_LINE])
+            self.tactics = self._ask(
+                "tactics",
+                "p_b",
+                Tactics.parse,
+                history=render_events(compact),
+                causal_graph=self.graph.serialize() or "(empty)",
+                previous_tactics=previous.to_text(),
+                opponent_tactics=self.opponent_tactics.to_text(),
+            ) or previous
         self._agents = {
             name: _BaseAgent(name, i) for i, name in enumerate(metadata.teams[team_id])
         }
@@ -506,17 +376,30 @@ class TactiCrafterSystem(ScriptTeam):
         for agent in self._agents.values():
             agent.driver.load(self._generate_program(agent, charge_latency=False))
 
+    def _ask(
+        self, purpose: str, template: str, parse: Callable[[str], T], tries: int = 2, **slots
+    ) -> Optional[T]:
+        """Fill ``template`` once and ask the model up to ``tries`` times.
+        Returns the first answer that ``parse`` reads without a
+        ``TagParseError`` into something non-empty, or None."""
+        prompt = self.templates.fill(template, **self._slots, **slots)
+        for _ in range(tries):
+            try:
+                answer = parse(_chat(self.client, purpose, prompt).text)
+            except TagParseError:
+                continue
+            if answer:
+                return answer
+        return None
+
     def _program_prompt(self, agent: _BaseAgent) -> str:
         return self.templates.fill(
             "p_f",
+            **self._slots,
             agent_name=agent.name,
             agent_index=agent.index,
-            team_name=self._desc.team_name,
-            scenario=self._desc.scenario_description,
             tactics=self.tactics.to_text() if self.tactics else FALLBACK_TACTICS_LINE,
             causal_graph=self.graph.serialize() or "(empty)",
-            primitives=self._desc.primitive_docs,
-            constants=render_constants(self._desc.constants),
             history=render_events(agent.compact) if agent.compact else "(episode start)",
             critique=agent.critique or "(none)",
         )
@@ -566,8 +449,8 @@ class TactiCrafterSystem(ScriptTeam):
         }
         prompt = self.templates.fill(
             "p_g",
+            **self._slots,
             agent_name=agent.name,
-            team_name=self._desc.team_name,
             tactics=self.tactics.to_text() if self.tactics else FALLBACK_TACTICS_LINE,
             status_report="\n".join(f"{k}: {v}" for k, v in status.items()),
             error=agent.driver.error_message or "(completed without error)",
@@ -583,7 +466,7 @@ class TactiCrafterSystem(ScriptTeam):
 
     def next_program(self, agent_name: str, view: AgentView) -> Optional[ActionProgram]:
         agent = self._agents[agent_name]
-        if agent.benched or view.tick >= view.duration:
+        if agent.benched:
             return None
         # program ended (error or clean completion): critique and regenerate
         agent.compact = dedup_events(self._log.view(agent_name), agent.dedup_memo)

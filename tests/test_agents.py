@@ -42,10 +42,9 @@ from tacticbench.agents import (
     opponent_chat_lines,
     parse_relation_line,
     render_events,
-    tactics_init,
 )
 from tacticbench.opponents import BuiltinTeamSystem, builtin
-from tacticbench.runner import run_episode
+from tacticbench.runner import build_metadata, run_episode
 from tacticbench.scenarios import get_scenario
 from tacticbench.world import Event
 
@@ -225,12 +224,11 @@ def test_opponent_tactics_unknown_sentinel():
 
 def test_tactics_init_falls_back_after_bad_responses():
     client = MockChatClient(scripted_responses={"tactics": ["garbage", "more garbage"]})
-    from tacticbench.agents.tacticrafter import GameDescription
-
-    desc = GameDescription("red", "win", "a test scenario", ["Ryn"], "docs")
-    t = tactics_init(client, PromptTemplates(), desc, CausalGraph())
-    assert t.lines == [FALLBACK_TACTICS_LINE]
-    assert len(client.calls) == 2  # one retry, then give up
+    system = TactiCrafterSystem(client)
+    system.pre_game(build_metadata(get_scenario("mushroom_war")), "red", {})
+    assert system.tactics.lines == [FALLBACK_TACTICS_LINE]
+    # one retry, then give up
+    assert [c.purpose for c in client.calls].count("tactics") == 2
 
 
 def test_opponent_chat_lines_excludes_own_team():
@@ -387,6 +385,30 @@ def test_http_client_does_not_retry_malformed_bodies(body):
 # -- checkpoints ----------------------------------------------------------------------
 
 
+CHECKPOINT_BLOB = """{
+  "causal_graph": [
+    {
+      "action": "a()",
+      "causes": [
+        "p"
+      ],
+      "effects": [
+        "x"
+      ]
+    }
+  ],
+  "episode_counter": 4,
+  "opponent_tactics": [
+    "they rush"
+  ],
+  "tactics": [
+    "harvest fast",
+    "guard the slime"
+  ],
+  "version": 1
+}"""
+
+
 def test_checkpoint_save_load_save_is_lossless():
     client = make_mock_client()
     system = TactiCrafterSystem(client)
@@ -395,6 +417,7 @@ def test_checkpoint_save_load_save_is_lossless():
     system.opponent_tactics = OpponentTactics(["they rush"])
     system.episode_counter = 4
     blob = checkpoint_save(system).to_json()
+    assert blob == CHECKPOINT_BLOB
     restored = checkpoint_load(Checkpoint.from_json(blob), client)
     assert checkpoint_save(restored).to_json() == blob
     assert restored.tactics.lines == system.tactics.lines

@@ -23,7 +23,7 @@ from .systems import (
     ScenarioMetadata,
     TeamSystem,
 )
-from .world import Event, new_world
+from .world import AgentBody, Event, WorldState, new_world
 
 SCENARIO_BLURBS = {
     MUSHROOM_WAR: (
@@ -92,6 +92,25 @@ class EpisodeResult:
     disabled_teams: list[str] = field(default_factory=list)
 
 
+def next_due(world: WorldState, movers: list[AgentBody]) -> int:
+    """The earliest tick after ``world.tick`` at which one of ``movers`` can
+    be served or its wait can time out; ``world.duration`` if none can."""
+    t = world.tick
+    due = world.duration
+    for agent in movers:
+        if agent.waiting_for is not None:
+            deadline = agent.wait_deadline
+            if deadline is not None and deadline < due:
+                due = deadline
+        else:
+            busy = agent.busy_until
+            if busy is None:
+                return t + 1
+            if busy < due:
+                due = busy
+    return due if due > t else t + 1
+
+
 def run_episode(
     config: ScenarioConfig,
     systems: dict[str, TeamSystem],
@@ -103,8 +122,16 @@ def run_episode(
     calls, so per-matchup state (learned tactics, causal models) carries over.
     A ``pre_game`` failure disables the whole team; an exception while
     driving a single agent sidelines only that agent, and the episode
-    still completes.  The clock skips the ticks at which no agent is free,
-    no wait times out and no timer fires: nothing happens on them.
+    still completes.
+
+    The clock visits only the ticks at which a timer fires or an agent is
+    due (``next_due``), and skips the ticks between them: nothing happens
+    on those.  After serving at a tick the runner steps through the timer
+    ticks before the next due tick without polling anyone.  That is exact
+    because only serving changes an agent's ``busy_until``, ``waiting_for``
+    or ``wait_deadline`` (a signal wakes its target inside ``execute``),
+    and no timer effect (regrow-block, crop-advance, smelt-complete,
+    mob-respawn) touches them, so no agent comes due on those ticks.
 
     Each poll hands the agent, as ``view.new_events``, the lines of
     ``world.chat_log`` broadcast since its previous poll: chat only.  So
@@ -128,7 +155,8 @@ def run_episode(
             active[team] = False
             world.broadcast("environment", f"team {team} system failed: {exc}")
 
-    movers = [a for a in world.agents if not a.stationary]
+    # the agents that can be served: the movers of teams still playing
+    movers = [a for a in world.agents if not a.stationary and active.get(a.team, False)]
     cursors = {a.name: 0 for a in movers}  # chat lines each agent has been handed
 
     def sideline(agent, exc: Exception) -> None:
@@ -139,28 +167,8 @@ def run_episode(
         agent.wait_deadline = None
         agent.busy_until = world.duration
 
-    def next_visit() -> int:
-        # the earliest tick at which an agent can be served, a wait can time
-        # out or a timer fires; the ticks before it change nothing
-        t = world.tick
-        nxt = world.duration
-        top = world.next_timer_tick()
-        if top is not None:
-            nxt = min(nxt, top)
-        for agent in movers:
-            if not active.get(agent.team, False):
-                continue
-            if agent.waiting_for is not None:
-                if agent.wait_deadline is not None:
-                    nxt = min(nxt, agent.wait_deadline)
-            else:
-                nxt = min(nxt, t + 1 if agent.busy_until is None else agent.busy_until)
-        return max(t + 1, nxt)
-
     while world.tick < world.duration:
         for agent in movers:
-            if not active.get(agent.team, False):
-                continue
             if agent.waiting_for is not None:
                 if agent.wait_deadline is not None and world.tick >= agent.wait_deadline:
                     agent.waiting_for = None
@@ -209,9 +217,16 @@ def run_episode(
                 systems[agent.team].on_result(agent.name, outcome)
             except Exception as exc:
                 sideline(agent, exc)
-        nxt = next_visit()
-        if nxt > world.tick + 1:
-            world.skip_idle(nxt)
+        due = next_due(world, movers)
+        while True:
+            top = world.next_timer_tick()
+            if top is None or top >= due:
+                break
+            if top > world.tick + 1:
+                world.skip_idle(top)
+            world.step_tick()
+        if due > world.tick + 1:
+            world.skip_idle(due)
         world.step_tick()
 
     raw = {team: rules.scores[team].points for team in rules.scores}

@@ -233,15 +233,18 @@ class MushroomWarRules(ScenarioRules):
     def __init__(self, config: ScenarioConfig) -> None:
         super().__init__(config)
         self.slime_cells: dict[str, set[tuple[int, int]]] = {}
-        self.mushroom_cells: dict[str, set[tuple[int, int]]] = {}
+        # each team's original mushroom cells in position order, the order
+        # the regrow and cancel loops walk them in
+        self.mushroom_cells: dict[str, dict[tuple[int, int], None]] = {}
         self.mushroom_timers: dict[tuple[int, int], ScheduledEvent] = {}
 
     def setup(self, world: WorldState) -> None:
         super().setup(world)
         self.mushroom_timers = {}
+        mushrooms: dict[str, list[tuple[int, int]]] = {}
         for team in world.layout.areas:
             self.slime_cells[team] = set()
-            self.mushroom_cells[team] = set()
+            mushrooms[team] = []
         for (x, z), cell in world.cells.items():
             team = world.area_of(x, z)
             if team == "neutral":
@@ -249,7 +252,8 @@ class MushroomWarRules(ScenarioRules):
             if cell.kind == "slime_block":
                 self.slime_cells[team].add((x, z))
             elif cell.kind == "red_mushroom_block":
-                self.mushroom_cells[team].add((x, z))
+                mushrooms[team].append((x, z))
+        self.mushroom_cells = {team: dict.fromkeys(sorted(cells)) for team, cells in mushrooms.items()}
 
     def slime_count(self, world: WorldState, team: str) -> int:
         return len(world.cell_index.get("slime_block", {}).get(team, ()))
@@ -258,7 +262,7 @@ class MushroomWarRules(ScenarioRules):
         return self.slime_count(world, team) <= SLIME_ELIGIBILITY_MAX
 
     def _schedule_missing_mushrooms(self, world: WorldState, team: str) -> None:
-        for pos in sorted(self.mushroom_cells[team]):
+        for pos in self.mushroom_cells[team]:
             cell = world.cells.get(pos)
             if cell is not None and cell.kind == "air" and pos not in self.mushroom_timers:
                 ev = world.schedule(
@@ -267,7 +271,7 @@ class MushroomWarRules(ScenarioRules):
                 self.mushroom_timers[pos] = ev
 
     def _cancel_mushroom_timers(self, world: WorldState, team: str) -> None:
-        for pos in sorted(self.mushroom_cells[team]):
+        for pos in self.mushroom_cells[team]:
             ev = self.mushroom_timers.pop(pos, None)
             if ev is not None:
                 world.cancel(ev)

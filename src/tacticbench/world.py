@@ -14,10 +14,11 @@ episode lasts 2400 ticks (2 minutes).
 """
 from __future__ import annotations
 
+import functools
 import hashlib
-import heapq
 import math
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from random import Random
 from typing import Any, Optional
 
@@ -26,6 +27,9 @@ DEFAULT_EPISODE_TICKS = 2400
 OBSERVE_RADIUS = 8
 
 NEUTRAL = "neutral"
+
+# log(1 - p) of each geometric timer probability p seen so far
+_LOG_MISS: dict[float, float] = {}
 
 
 class WorldError(Exception):
@@ -136,7 +140,7 @@ class Mob:
     alive: bool = True
 
 
-@dataclass
+@dataclass(slots=True)
 class ScheduledEvent:
     fire_tick: int
     effect: str  # regrow-block | crop-advance | smelt-complete | mob-respawn
@@ -193,6 +197,16 @@ class Layout:
     containers: dict[tuple[int, int], dict[str, int]]
     furnaces: list[Position]
 
+    @functools.cached_property
+    def owners(self) -> dict[tuple[int, int], str]:
+        """``area_of`` of every in-bounds (x, z), computed on first use; the
+        extent and ``areas`` must not change after it."""
+        return {
+            (x, z): area_of(self.areas, x, z)
+            for x in range(self.width)
+            for z in range(self.depth)
+        }
+
 
 class WorldState:
     """The complete tick-indexed simulation state."""
@@ -204,6 +218,7 @@ class WorldState:
         self.duration: int = DEFAULT_EPISODE_TICKS
         self.rng = Random(seed)
         self.seed = seed
+        self._owners = layout.owners
         self.cells: dict[tuple[int, int], BlockCell] = {}
         # kind -> owning area -> positions, no group empty; kept by set_block
         # and clear_block
@@ -252,13 +267,16 @@ class WorldState:
         return self.cells.get((x, z))
 
     def area_of(self, x: int, z: int) -> str:
-        return area_of(self.layout.areas, x, z)
+        owner = self._owners.get((x, z))
+        return area_of(self.layout.areas, x, z) if owner is None else owner
 
     def set_block(self, pos: tuple[int, int], kind: str) -> None:
         """Make the cell at ``pos`` a ``kind`` block at growth stage 0.  The
         one way a cell is created or changes kind; replacing a cell keeps its
         place in the cell order."""
-        owner = self.area_of(*pos)
+        owner = self._owners.get(pos)
+        if owner is None:
+            owner = area_of(self.layout.areas, *pos)
         old = self.cells.get(pos)
         if old is not None:
             self._unindex(pos, old.kind, owner)
@@ -296,25 +314,25 @@ class WorldState:
         or ``("geometric", p)`` for a per-tick success probability.  Samples
         are drawn from the world rng, so the fire tick is seed-deterministic.
         """
-        ticks = self._sample_delay(delay)
+        if isinstance(delay, int):
+            ticks = delay
+        elif delay[0] == "geometric":
+            p = delay[1]
+            log_q = _LOG_MISS.get(p)
+            if log_q is None:
+                log_q = _LOG_MISS[p] = math.log(1.0 - p)
+            u = self.rng.random()
+            ticks = 1 + int(math.log(max(1.0 - u, 1e-12)) / log_q)
+        else:
+            lo, hi = delay
+            ticks = self.rng.randint(lo, hi)
         if ticks < 1:
             ticks = 1
-        ev = ScheduledEvent(
-            fire_tick=self.tick + ticks, effect=effect, target=target, seq=self._timer_seq
-        )
-        self._timer_seq += 1
-        heapq.heappush(self._timer_heap, (ev.fire_tick, ev.seq, ev))
+        seq = self._timer_seq
+        self._timer_seq = seq + 1
+        ev = ScheduledEvent(self.tick + ticks, effect, target, seq)
+        heappush(self._timer_heap, (ev.fire_tick, seq, ev))
         return ev
-
-    def _sample_delay(self, delay: Any) -> int:
-        if isinstance(delay, int):
-            return delay
-        if isinstance(delay, tuple) and delay and delay[0] == "geometric":
-            p = delay[1]
-            u = self.rng.random()
-            return 1 + int(math.log(max(1.0 - u, 1e-12)) / math.log(1.0 - p))
-        lo, hi = delay
-        return self.rng.randint(lo, hi)
 
     def schedule_at(self, fire_tick: int, effect: str, target: Any) -> ScheduledEvent:
         """Enqueue a delayed effect at an absolute tick (must be in the future)."""
@@ -322,7 +340,7 @@ class WorldState:
             fire_tick = self.tick + 1
         ev = ScheduledEvent(fire_tick=fire_tick, effect=effect, target=target, seq=self._timer_seq)
         self._timer_seq += 1
-        heapq.heappush(self._timer_heap, (ev.fire_tick, ev.seq, ev))
+        heappush(self._timer_heap, (ev.fire_tick, ev.seq, ev))
         return ev
 
     def cancel(self, ev: ScheduledEvent) -> None:
@@ -347,9 +365,10 @@ class WorldState:
 
     def step_tick(self) -> None:
         """Advance one tick and apply every timer due at the new tick."""
-        self.tick += 1
-        while self._timer_heap and self._timer_heap[0][0] <= self.tick:
-            _, _, ev = heapq.heappop(self._timer_heap)
+        tick = self.tick = self.tick + 1
+        heap = self._timer_heap
+        while heap and heap[0][0] <= tick:
+            ev = heappop(heap)[2]
             if not ev.cancelled:
                 self._apply_effect(ev)
 

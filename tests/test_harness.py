@@ -612,8 +612,8 @@ JUMP_CASES = [
 
 
 def test_skipping_idle_ticks_changes_nothing(worlds, step_ticks, monkeypatch):
-    """Oracle: with the timer top reported as always due next tick, the
-    runner visits every tick, as a loop without jumps does."""
+    """Oracle: with every mover reported due at the next tick, the runner
+    serves at every tick, as a loop without jumps or timer-only steps does."""
     def play(scenario, red, opponent, seed):
         config = get_scenario(scenario, duration_ticks=600)
         systems = {"red": _ViewProbe(red(seed), record=True),
@@ -629,7 +629,7 @@ def test_skipping_idle_ticks_changes_nothing(worlds, step_ticks, monkeypatch):
         chats.extend(e.payload for e in result.chat_log)
     visited = len(step_ticks)
     with monkeypatch.context() as patch:
-        patch.setattr(WorldState, "next_timer_tick", lambda self: self.tick + 1)
+        patch.setattr(tb_runner, "next_due", lambda world, movers: world.tick + 1)
         for case in JUMP_CASES:
             every_tick.append(play(*case)[1])
     assert len(step_ticks) - visited == 600 * len(JUMP_CASES)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from importlib import resources
+from random import Random
 from unittest import mock
 
 import pytest
@@ -21,6 +22,7 @@ from tacticbench.world import (
     LayoutError,
     Position,
     WorldError,
+    area_of,
     new_world,
 )
 
@@ -101,6 +103,59 @@ def test_geometric_delay_is_positive_and_seeded():
     d2 = [w2.schedule("mob-respawn", w2.mobs[0], ("geometric", 0.05)).fire_tick for _ in range(50)]
     assert d1 == d2
     assert all(t >= 1 for t in d1)
+
+
+def sample_delay_oracle(rng, delay) -> int:
+    """The delay draw of ``schedule`` as it was before it was inlined: an
+    int as is, ``("geometric", p)`` from one ``rng.random()``, ``(lo, hi)``
+    from one ``rng.randint``; then at least 1."""
+    if isinstance(delay, int):
+        ticks = delay
+    elif isinstance(delay, tuple) and delay and delay[0] == "geometric":
+        p = delay[1]
+        u = rng.random()
+        ticks = 1 + int(math.log(max(1.0 - u, 1e-12)) / math.log(1.0 - p))
+    else:
+        lo, hi = delay
+        ticks = rng.randint(lo, hi)
+    return max(ticks, 1)
+
+
+class ScriptedRandom(Random):
+    """A ``Random`` whose ``random()`` first returns the scripted values.
+    (Overriding ``random`` also makes ``randint`` draw through it.)"""
+
+    def __init__(self, seed, script):
+        super().__init__(seed)
+        self.script = list(script)
+
+    def random(self):
+        return self.script.pop(0) if self.script else super().random()
+
+
+TIMER_DELAYS = [
+    0, -4, 1, 9, (1, 5), (-3, 0), (40, 120), (7, 7),
+    *(("geometric", p) for p in (0.004, 0.05, 0.3, 0.5, 0.9, 0.999)),
+]
+
+
+@pytest.mark.parametrize("seed, scripted", [(0, False), (5, False), (0, True)])
+def test_schedule_draws_as_the_delay_oracle(seed, scripted):
+    world = new_world(load_builtin_layout("dash_and_dine"), seed)
+    delays = [d for _ in range(3) for d in TIMER_DELAYS] + [("geometric", 0.05)] * 200
+    Random(seed).shuffle(delays)
+    ref = Random(seed)
+    if scripted:
+        # u = 0 gives log(1) = 0; u within 1e-12 of 1 hits the 1e-12 clamp
+        script = [0.0, 1 - 1e-13, 0.999999999999, 1 - 2 ** -53]
+        world.rng = ScriptedRandom(seed, script)
+        ref = ScriptedRandom(seed, script)
+        delays = [("geometric", p) for p in (0.3, 0.05, 0.3, 0.999)] + delays
+    for i, delay in enumerate(delays):
+        world.tick = 3 * i
+        ev = world.schedule("mob-respawn", world.mobs[0], delay)
+        assert (ev.fire_tick, ev.seq) == (3 * i + sample_delay_oracle(ref, delay), i), delay
+        assert world.rng.getstate() == ref.getstate(), delay
 
 
 def test_observe_radius_limits_blocks(mw_world):
@@ -255,6 +310,25 @@ def test_layout_rejects_overlapping_team_areas():
         load_layout_text(overlapping)
     touching = tiny_layout().replace("red: [0, 0, 1, 3]", "red: [0, 0, 1, 1]")
     assert load_layout_text(touching.replace("blue: [2, 0, 3, 3]", "blue: [0, 2, 3, 3]"))
+
+
+@pytest.mark.parametrize("layout", ["mushroom_war", "dash_and_dine", "tiny", "touching"])
+def test_owner_table_matches_the_rectangle_scan(layout):
+    if layout in ("tiny", "touching"):
+        text = tiny_layout()
+        if layout == "touching":  # leaves a neutral corner
+            text = text.replace("red: [0, 0, 1, 3]", "red: [0, 0, 1, 1]")
+            text = text.replace("blue: [2, 0, 3, 3]", "blue: [0, 2, 3, 3]")
+        loaded = load_layout_text(text)
+    else:
+        loaded = load_builtin_layout(layout)
+    world = new_world(loaded, 0)
+    cells = [(x, z) for x in range(loaded.width) for z in range(loaded.depth)]
+    assert loaded.owners == {pos: area_of(loaded.areas, *pos) for pos in cells}
+    assert all(world.area_of(*pos) == area_of(loaded.areas, *pos) for pos in cells)
+    assert {world.area_of(*pos) for pos in cells} >= set(loaded.areas)
+    for pos in [(-1, 0), (0, -1), (loaded.width, 0), (0, loaded.depth), (-5, 99)]:
+        assert world.area_of(*pos) == "neutral"
 
 
 def oracle_index(world):

@@ -28,9 +28,6 @@ OBSERVE_RADIUS = 8
 
 NEUTRAL = "neutral"
 
-# log(1 - p) of each geometric timer probability p seen so far
-_LOG_MISS: dict[float, float] = {}
-
 
 class WorldError(Exception):
     """Base error for world-level failures."""
@@ -267,16 +264,14 @@ class WorldState:
         return self.cells.get((x, z))
 
     def area_of(self, x: int, z: int) -> str:
-        owner = self._owners.get((x, z))
-        return area_of(self.layout.areas, x, z) if owner is None else owner
+        # validate_layout keeps every area in bounds, so outside is neutral
+        return self._owners.get((x, z), NEUTRAL)
 
     def set_block(self, pos: tuple[int, int], kind: str) -> None:
         """Make the cell at ``pos`` a ``kind`` block at growth stage 0.  The
         one way a cell is created or changes kind; replacing a cell keeps its
         place in the cell order."""
-        owner = self._owners.get(pos)
-        if owner is None:
-            owner = area_of(self.layout.areas, *pos)
+        owner = self._owners.get(pos, NEUTRAL)
         old = self.cells.get(pos)
         if old is not None:
             self._unindex(pos, old.kind, owner)
@@ -318,11 +313,8 @@ class WorldState:
             ticks = delay
         elif delay[0] == "geometric":
             p = delay[1]
-            log_q = _LOG_MISS.get(p)
-            if log_q is None:
-                log_q = _LOG_MISS[p] = math.log(1.0 - p)
             u = self.rng.random()
-            ticks = 1 + int(math.log(max(1.0 - u, 1e-12)) / log_q)
+            ticks = 1 + int(math.log(max(1.0 - u, 1e-12)) / math.log(1.0 - p))
         else:
             lo, hi = delay
             ticks = self.rng.randint(lo, hi)

@@ -12,7 +12,7 @@ from .scenarios import (
     get_scenario,
 )
 from .runner import EpisodeResult, build_metadata, run_episode
-from .metrics import LatencyStats, MetricValues, compute_metrics, latency_stats, metric_values
+from .metrics import LatencyStats, MetricValues, latency_stats, metric_values
 from .bench import (
     RunConfig,
     adaptation_protocol,
@@ -33,7 +33,6 @@ __all__ = [
     "run_episode",
     "LatencyStats",
     "MetricValues",
-    "compute_metrics",
     "latency_stats",
     "metric_values",
     "RunConfig",

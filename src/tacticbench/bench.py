@@ -28,7 +28,7 @@ from .agents import (
     checkpoint_save,
     make_mock_client,
 )
-from .metrics import MatchupMetrics, MetricsReport, compute_metrics, metric_values
+from .metrics import MetricValues, MetricsReport, mean_values, metric_values, report_from_rows
 from .opponents import BuiltinTeamSystem, RandomTeamSystem, builtin, list_builtin, script_text
 from .runner import EpisodeResult, run_episode
 from .scenarios import SCENARIO_NAMES, ScenarioConfig, get_scenario
@@ -82,6 +82,10 @@ class RunConfig:
         for scenario in self.scenarios:
             if scenario not in SCENARIO_NAMES:
                 raise ValueError(f"unknown scenario {scenario!r}")
+        # a repeated entry would replay the same seeds into the same files
+        for what, names in (("scenarios", self.scenarios), ("opponents", self.opponents or [])):
+            if len(set(names)) != len(names):
+                raise ValueError(f"duplicate {what} in {names}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -239,44 +243,29 @@ class RunFolder:
         target.write_text(json.dumps(row, indent=2))
         return target
 
-    def append_transcripts(self, rows: list[dict]) -> None:
-        if not rows:
+    def append_transcripts(self, context: dict, calls: list) -> None:
+        """One ``transcripts.jsonl`` line per model call, keyed by ``context``."""
+        if not calls:
             return
         with open(self.path / "transcripts.jsonl", "a") as fh:
-            for row in rows:
+            for c in calls:
+                row = {**context, "purpose": c.purpose, "t_resp": c.t_resp, "n_out": c.n_out,
+                       "request": c.request_text, "response": c.response_text}
                 fh.write(json.dumps(row) + "\n")
 
     def write_json(self, name: str, data) -> None:
         (self.path / name).write_text(json.dumps(data, indent=2, sort_keys=True))
 
 
-def _drain_transcripts(system, context: dict) -> list[dict]:
-    client = getattr(system, "client", None)
-    calls = getattr(client, "calls", None)
+def _drain_calls(system) -> list:
+    """Take the model-call records of ``system``'s client, leaving it none:
+    each record holds a full prompt, so none may outlive its episode."""
+    calls = getattr(getattr(system, "client", None), "calls", None)
     if not calls:
         return []
-    rows = [
-        {
-            **context,
-            "purpose": c.purpose,
-            "t_resp": c.t_resp,
-            "n_out": c.n_out,
-            "request": c.request_text,
-            "response": c.response_text,
-        }
-        for c in calls
-    ]
+    taken = list(calls)
     calls.clear()
-    return rows
-
-
-def _forget_calls(*systems) -> None:
-    """Drop the model-call records of ``systems``; the protocols keep no
-    transcripts, and each record holds a full prompt."""
-    for system in systems:
-        calls = getattr(getattr(system, "client", None), "calls", None)
-        if calls:
-            calls.clear()
+    return taken
 
 
 # -- the benchmark ----------------------------------------------------------
@@ -308,36 +297,31 @@ def play_repeat(
 def run_benchmark(config: RunConfig, folder_name: Optional[str] = None) -> BenchmarkOutput:
     folder = RunFolder(config.output_dir, folder_name)
     folder.write_config(config)
-    report = MetricsReport()
     rows: list[dict] = []
     failed: list[str] = []
+    sigmas: dict[tuple[str, str], float] = {}
     calibration_path = folder.path / "calibration.json"
     for scenario in config.scenarios:
         scenario_config = get_scenario(scenario)
         for opponent in config.opponents_for(scenario):
-            sigma = calibrate_sigma(scenario, opponent, config.seed, calibration_path)
-            matchup = f"{scenario}/{config.red_system}-vs-{opponent}"
-            results: list[EpisodeResult] = []
+            sigmas[scenario, opponent] = calibrate_sigma(scenario, opponent, config.seed, calibration_path)
             try:
                 for repeat in range(config.repeats):
                     for episode, red, result in play_repeat(config, scenario_config, opponent, repeat):
-                        results.append(result)
                         row = _episode_row(scenario, config.red_system, opponent, repeat, episode, result)
                         rows.append(row)
                         folder.write_episode(row)
                         folder.append_transcripts(
-                            _drain_transcripts(red, {"scenario": scenario, "blue": opponent,
-                                                     "repeat": repeat, "episode": episode})
+                            {"scenario": scenario, "blue": opponent, "repeat": repeat, "episode": episode},
+                            _drain_calls(red),
                         )
             except Exception as exc:  # a broken matchup must not sink the run
-                failed.append(f"{matchup}: {exc}")
-                continue
-            report.matchups.append(
-                MatchupMetrics(scenario, config.red_system, opponent, compute_metrics(results, sigma))
-            )
-    from .export import export_all
+                # its finished episodes stay in the rows, and so in the report
+                failed.append(f"{scenario}/{config.red_system}-vs-{opponent}: {exc}")
+    report = report_from_rows(rows, sigmas)
+    from . import export  # it imports this module, and numpy
 
-    export_all(folder.path, rows, report)
+    export.export_all(folder.path, rows, report)
     if failed:
         folder.write_json("failed_matchups.json", failed)
     return BenchmarkOutput(folder.path, report, rows, failed)
@@ -346,18 +330,29 @@ def run_benchmark(config: RunConfig, folder_name: Optional[str] = None) -> Bench
 # -- protocols --------------------------------------------------------------
 
 
+def _evaluate(
+    config: RunConfig, scenario_config: ScenarioConfig, red: TeamSystem,
+    opponent: str, sigma: float, label: str, repeat: int = 0,
+) -> MetricValues:
+    """One episode of ``red`` against the builtin ``opponent``, seeded by
+    ``label``, with its model calls dropped."""
+    blue = BuiltinTeamSystem(builtin(opponent, scenario_config.name))
+    seed = episode_seed(config.seed, scenario_config.name, label, repeat, 0)
+    result = run_episode(scenario_config, {"red": red, "blue": blue}, seed)
+    _drain_calls(red)
+    return metric_values([result.reported["red"]], [result.reported["blue"]], sigma)
+
+
 def adaptation_protocol(config: RunConfig, episodes_per_opponent: Optional[int] = None) -> dict:
     """Train vs each opponent, checkpoint, then evaluate the checkpoint for
     one episode against every opponent; aggregate Same vs Different cells."""
     train_n = episodes_per_opponent or config.episodes
-    table: dict[str, dict[str, dict[str, float]]] = {}
-    cells: dict[str, dict[str, list]] = {}
+    cells: dict[str, dict[str, list[MetricValues]]] = {}
     for scenario in config.scenarios:
         scenario_config = get_scenario(scenario)
         opponents = config.opponents_for(scenario)
         sigmas = {o: calibrate_sigma(scenario, o, config.seed) for o in opponents}
-        same: list = []
-        different: list = []
+        cells[scenario] = {"Same": [], "Different": []}
         for repeat in range(config.repeats):
             for trained_on in opponents:
                 red = make_system(config.red_system, scenario, config.client.build, config.seed)
@@ -365,47 +360,24 @@ def adaptation_protocol(config: RunConfig, episodes_per_opponent: Optional[int] 
                 for episode in range(train_n):
                     seed = episode_seed(config.seed, scenario, f"adapt:{trained_on}", repeat, episode)
                     run_episode(scenario_config, {"red": red, "blue": blue}, seed)
-                    _forget_calls(red)
+                    _drain_calls(red)
                 checkpoint = checkpoint_save(red) if isinstance(red, TactiCrafterSystem) else None
                 for evaluated_on in opponents:
-                    if checkpoint is not None:
-                        evaluator = checkpoint_load(checkpoint, config.client.build())
-                    else:
-                        evaluator = red
-                    seed = episode_seed(
-                        config.seed, scenario, f"adapt-eval:{trained_on}:{evaluated_on}", repeat, 0
-                    )
-                    result = run_episode(
-                        scenario_config,
-                        {"red": evaluator, "blue": BuiltinTeamSystem(builtin(evaluated_on, scenario))},
-                        seed,
-                    )
-                    _forget_calls(evaluator)
-                    values = metric_values(
-                        [result.reported["red"]], [result.reported["blue"]], sigmas[evaluated_on]
-                    )
-                    (same if evaluated_on == trained_on else different).append(values)
-        cells[scenario] = {"Same": same, "Different": different}
-        table[scenario] = {
-            kind: _mean_values(values) for kind, values in cells[scenario].items()
-        }
-    table["Avg"] = {
-        kind: _mean_values([v for scenario in config.scenarios for v in cells[scenario][kind]])
+                    evaluator = red if checkpoint is None else checkpoint_load(checkpoint, config.client.build())
+                    values = _evaluate(config, scenario_config, evaluator, evaluated_on, sigmas[evaluated_on],
+                                       f"adapt-eval:{trained_on}:{evaluated_on}", repeat)
+                    cells[scenario]["Same" if evaluated_on == trained_on else "Different"].append(values)
+    cells["Avg"] = {
+        kind: [v for scenario in config.scenarios for v in cells[scenario][kind]]
         for kind in ("Same", "Different")
     }
+    table: dict[str, dict[str, dict[str, float]]] = {}
+    for name, kinds in cells.items():
+        table[name] = {}
+        for kind, values in kinds.items():
+            v = mean_values(values)
+            table[name][kind] = {"P": v.P, "S": v.S, "D": v.D, "W": v.W}
     return table
-
-
-def _mean_values(values: list) -> dict[str, float]:
-    if not values:
-        return {"P": 0.0, "S": 0.0, "D": 0.0, "W": 0.0}
-    n = len(values)
-    return {
-        "P": sum(v.P for v in values) / n,
-        "S": sum(v.S for v in values) / n,
-        "D": sum(v.D for v in values) / n,
-        "W": sum(v.W for v in values) / n,
-    }
 
 
 def self_play_protocol(
@@ -427,27 +399,21 @@ def self_play_protocol(
         for episode in range(total_episodes):
             seed = episode_seed(config.seed, scenario, "selfplay", 0, episode)
             result = run_episode(scenario_config, {"red": red, "blue": blue}, seed)
-            _forget_calls(red, blue)
+            _drain_calls(red)
+            _drain_calls(blue)
             scores["red"].append(result.reported["red"])
             scores["blue"].append(result.reported["blue"])
             if (episode + 1) % checkpoint_every == 0 and isinstance(red, TactiCrafterSystem):
                 checkpoints.append((episode + 1, checkpoint_save(red)))
         evaluations = []
         for after, checkpoint in checkpoints:
-            d_values = []
-            for opponent in opponents:
-                evaluator = checkpoint_load(checkpoint, config.client.build())
-                seed = episode_seed(config.seed, scenario, f"selfplay-eval:{after}:{opponent}", 0, 0)
-                result = run_episode(
-                    scenario_config,
-                    {"red": evaluator, "blue": BuiltinTeamSystem(builtin(opponent, scenario))},
-                    seed,
-                )
-                _forget_calls(evaluator)
-                values = metric_values(
-                    [result.reported["red"]], [result.reported["blue"]], sigmas[opponent]
-                )
-                d_values.append({"opponent": opponent, **dataclasses.asdict(values)})
-            evaluations.append({"after_episode": after, "results": d_values})
+            results = [
+                {"opponent": opponent, **dataclasses.asdict(_evaluate(
+                    config, scenario_config, checkpoint_load(checkpoint, config.client.build()),
+                    opponent, sigmas[opponent], f"selfplay-eval:{after}:{opponent}",
+                ))}
+                for opponent in opponents
+            ]
+            evaluations.append({"after_episode": after, "results": results})
         out[scenario] = {"scores": scores, "evaluations": evaluations}
     return out

@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .metrics import MatchupMetrics, MetricsReport, metric_values
+from .bench import RunConfig
+from .metrics import MetricsReport, report_from_rows
 
-CONFIDENCE_ALPHA = 0.05
 _Z = 1.959963984540054  # two-sided normal quantile for alpha = 0.05
 
 
@@ -106,42 +106,25 @@ def export_all(run_dir: Path, rows: list[dict], report: MetricsReport) -> None:
 
 
 def load_episode_rows(run_dir: Path) -> list[dict]:
-    rows = [
-        json.loads(p.read_text()) for p in sorted((Path(run_dir) / "episodes").glob("*.json"))
-    ]
+    """The episode rows of a run folder in the order ``run_benchmark``
+    produced them: matchups in config order, then repeat, then episode."""
+    run_dir = Path(run_dir)
+    config = RunConfig.from_dict(json.loads((run_dir / "config.json").read_text()))
+    matchups = [(scenario, blue) for scenario in config.scenarios for blue in config.opponents_for(scenario)]
+    rows = [json.loads(p.read_text()) for p in (run_dir / "episodes").glob("*.json")]
     if not rows:
         raise FileNotFoundError(f"no episode records under {run_dir}/episodes")
+    rows.sort(key=lambda r: (matchups.index((r["scenario"], r["blue"])), r["repeat"], r["episode"]))
     return rows
 
 
-def rebuild_report(run_dir: Path, rows: list[dict]) -> MetricsReport:
-    """Recompute matchup metrics from stored episodes and the cached
-    calibration table (missing sigma entries fall back to 0)."""
-    calibration: dict[str, float] = {}
-    calib_path = Path(run_dir) / "calibration.json"
-    if calib_path.exists():
-        calibration = json.loads(calib_path.read_text())
-    grouped: dict[tuple[str, str, str], list[dict]] = defaultdict(list)
-    for row in rows:
-        grouped[(row["scenario"], row["red"], row["blue"])].append(row)
-    report = MetricsReport()
-    for (scenario, red, blue), group in sorted(grouped.items()):
-        sigma = next(
-            (v for k, v in calibration.items() if k.startswith(f"{scenario}:{blue}:")), 0.0
-        )
-        values = metric_values(
-            [r["reported"]["red"] for r in group],
-            [r["reported"]["blue"] for r in group],
-            sigma,
-        )
-        report.matchups.append(MatchupMetrics(scenario, red, blue, values))
-    return report
-
-
 def export_run(run_dir: str | Path) -> MetricsReport:
-    """Regenerate every CSV artifact of an existing run folder."""
+    """Rewrite the reports of an existing run folder from its episode rows
+    and its calibration cache, byte for byte as ``run`` wrote them."""
     run_dir = Path(run_dir)
     rows = load_episode_rows(run_dir)
-    report = rebuild_report(run_dir, rows)
+    calibration = json.loads((run_dir / "calibration.json").read_text())
+    sigmas = {tuple(key.split(":")[:2]): sigma for key, sigma in calibration.items()}
+    report = report_from_rows(rows, sigmas)
     export_all(run_dir, rows, report)
     return report

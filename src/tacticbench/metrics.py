@@ -7,6 +7,8 @@ Per matchup of N_e episodes, from the red team's perspective:
   D = mean (red - blue) score difference
   W = mean win indicator, draws worth 0.5
 Scores enter these formulas after scenario report scaling.
+``report_from_rows`` is the one reduction from episode rows to matchup
+metrics; ``tacticbench run`` and ``tacticbench export`` both go through it.
 
 Response-time statistics are averaged per call: R_tps is the mean of
 per-response token rates, not total tokens over total time.
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from statistics import mean
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -61,22 +63,40 @@ class MetricsReport:
     matchups: list[MatchupMetrics] = field(default_factory=list)
 
     def aggregate(self) -> Optional[MetricValues]:
-        if not self.matchups:
-            return None
-        return MetricValues(
-            P=mean(m.values.P for m in self.matchups),
-            S=mean(m.values.S for m in self.matchups),
-            D=mean(m.values.D for m in self.matchups),
-            W=mean(m.values.W for m in self.matchups),
-            n_episodes=sum(m.values.n_episodes for m in self.matchups),
-        )
+        return mean_values([m.values for m in self.matchups]) if self.matchups else None
 
 
-def compute_metrics(results: Iterable, sigma_blue: float) -> MetricValues:
-    """Metrics over episode results, on the report-scaled point scale."""
-    s_red = [r.reported["red"] for r in results]
-    s_blue = [r.reported["blue"] for r in results]
-    return metric_values(s_red, s_blue, sigma_blue)
+def mean_values(values: Sequence[MetricValues]) -> MetricValues:
+    """Field-wise mean of ``values``, with ``n_episodes`` their total; no
+    values give all zeros."""
+    if not values:
+        return MetricValues(P=0.0, S=0.0, D=0.0, W=0.0, n_episodes=0)
+    return MetricValues(
+        P=mean(v.P for v in values),
+        S=mean(v.S for v in values),
+        D=mean(v.D for v in values),
+        W=mean(v.W for v in values),
+        n_episodes=sum(v.n_episodes for v in values),
+    )
+
+
+def report_from_rows(
+    rows: Iterable[dict], sigmas: Mapping[tuple[str, str], float]
+) -> MetricsReport:
+    """One matchup per ``(scenario, red, blue)`` of the episode rows, in the
+    order the rows first name it; ``sigmas`` maps ``(scenario, blue)`` to
+    the blue side's calibrated baseline."""
+    groups: dict[tuple[str, str, str], list[dict]] = {}
+    for row in rows:
+        groups.setdefault((row["scenario"], row["red"], row["blue"]), []).append(row)
+    return MetricsReport([
+        MatchupMetrics(scenario, red, blue, metric_values(
+            [r["reported"]["red"] for r in group],
+            [r["reported"]["blue"] for r in group],
+            sigmas[scenario, blue],
+        ))
+        for (scenario, red, blue), group in groups.items()
+    ])
 
 
 @dataclass(frozen=True)

@@ -78,6 +78,8 @@ class Inventory:
 
     def remove(self, item: str, n: int) -> int:
         """Remove up to ``n`` of ``item``; returns the amount actually removed."""
+        if n < 0:
+            raise ValueError(f"cannot remove negative count {n} of {item}")
         have = self.stacks.get(item, 0)
         taken = min(have, n)
         if taken:

@@ -131,6 +131,10 @@ def test_run_config_rejects_unknown_keys_and_values():
         RunConfig(episodes=0)
     with pytest.raises(ValueError):
         RunConfig(scenarios=["atlantis"])
+    with pytest.raises(ValueError, match="duplicate scenarios"):
+        RunConfig(scenarios=["mushroom_war", "mushroom_war"])
+    with pytest.raises(ValueError, match="duplicate opponents"):
+        RunConfig.from_dict({"opponents": ["passive", "do_nothing", "passive"]})
 
 
 def test_run_config_yaml_round_trip(tmp_path):
@@ -372,12 +376,32 @@ def test_timeline_rows_cover_every_tick(mini_run):
         assert float(lo) <= float(mean) <= float(hi)
 
 
+def _top_level_files(run_dir: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(run_dir.iterdir()) if p.is_file()}
+
+
 def test_export_is_reproducible(mini_run):
     output, _ = mini_run
-    matrix = output.run_dir / "matchup_matrix.csv"
-    before = matrix.read_bytes()
+    before = _top_level_files(output.run_dir)
     export_run(output.run_dir)
-    assert matrix.read_bytes() == before
+    assert _top_level_files(output.run_dir) == before
+
+
+@pytest.mark.parametrize("scenarios, opponents", [
+    (["mushroom_war", "dash_and_dine"], ["do_nothing"]),  # scenarios out of name order
+    (["mushroom_war"], ["passive", "do_nothing"]),  # opponents out of name order
+])
+def test_export_rewrites_the_run_in_config_order(tmp_path, scenarios, opponents):
+    config = RunConfig(scenarios=scenarios, opponents=opponents, episodes=1, repeats=1, seed=3,
+                       red_system="builtin:do_nothing", output_dir=str(tmp_path))
+    output = run_benchmark(config, folder_name="ordered")
+    assert [(m.scenario, m.blue) for m in output.report.matchups] == [
+        (s, o) for s in scenarios for o in opponents
+    ]
+    before = _top_level_files(output.run_dir)
+    assert {"matchup_matrix.csv", "metrics_summary.json", "metrics_summary.csv"} <= set(before)
+    export_run(output.run_dir)
+    assert _top_level_files(output.run_dir) == before
 
 
 def test_mirror_match_metrics_are_balanced(mini_run):
@@ -544,24 +568,33 @@ def test_post_game_failure_is_broadcast_and_the_result_returned():
 
 def test_failed_matchup_is_recorded_and_the_others_complete(tmp_path, monkeypatch):
     real = bench.run_episode
+    played = []
 
     def crashing(config, systems, seed):
-        if systems["blue"].name == "passive":
-            raise RuntimeError("blue crashed")
+        # only the benchmark's red side plays balanced; calibration's is do_nothing
+        if systems["red"].name == "balanced" and systems["blue"].name == "passive":
+            played.append(seed)
+            if len(played) == 2:
+                raise RuntimeError("blue crashed")
         return real(config, systems, seed)
 
-    monkeypatch.setattr(bench, "calibrate_sigma", lambda *args, **kwargs: 0.0)
     monkeypatch.setattr(bench, "run_episode", crashing)
     config = RunConfig(scenarios=["mushroom_war"], opponents=["passive", "do_nothing"],
-                       episodes=1, repeats=1, seed=2, red_system="builtin:do_nothing",
+                       episodes=2, repeats=1, seed=2, red_system="builtin:balanced",
                        output_dir=str(tmp_path))
     output = run_benchmark(config, folder_name="faulty")
-    expected = ["mushroom_war/builtin:do_nothing-vs-passive: blue crashed"]
+    expected = ["mushroom_war/builtin:balanced-vs-passive: blue crashed"]
     assert output.failed_matchups == expected
     assert json.loads((output.run_dir / "failed_matchups.json").read_text()) == expected
-    assert [m.blue for m in output.report.matchups] == ["do_nothing"]
-    assert len(output.episodes) == 1 and output.episodes[0]["blue"] == "do_nothing"
-    assert len(list((output.run_dir / "episodes").glob("*.json"))) == 1
+    # the failed matchup keeps the episode it finished
+    assert [(m.blue, m.values.n_episodes) for m in output.report.matchups] == [
+        ("passive", 1), ("do_nothing", 2)
+    ]
+    assert [row["blue"] for row in output.episodes] == ["passive", "do_nothing", "do_nothing"]
+    assert len(list((output.run_dir / "episodes").glob("*.json"))) == 3
+    before = _top_level_files(output.run_dir)
+    export_run(output.run_dir)
+    assert _top_level_files(output.run_dir) == before
 
 
 # -- runner: next-event clock and on-demand views -------------------------------------

@@ -288,6 +288,20 @@ def test_chest_get_caps_at_contents():
     assert res.ok and world.agent("Ryn").inventory.count("bucket") == 3
 
 
+def test_chest_negative_counts_fail_and_move_nothing():
+    world, config, _ = make_world("dash_and_dine")
+    agent = world.agent("Ryn")
+    chest = world.containers[(9, 17)]
+    assert chest.count("bowl") == 8
+    res = run(world, config, "Ryn", req("useChest", "get", 9, 17, "bowl", -2))
+    assert not res.ok
+    assert chest.count("bowl") == 8 and agent.inventory.count("bowl") == 0
+    agent.inventory.add("wheat", 1)
+    res = run(world, config, "Ryn", req("useChest", "deposit", 9, 17, "wheat", -3))
+    assert not res.ok
+    assert agent.inventory.count("wheat") == 1 and chest.count("wheat") == 0
+
+
 def test_chest_missing_location_fails():
     world, config, _ = make_world("dash_and_dine")
     res = run(world, config, "Ryn", req("useChest", "get", 0, 0, "bowl", 1))

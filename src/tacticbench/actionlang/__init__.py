@@ -23,6 +23,7 @@ from .table import PrimitiveSpec, PrimitiveTable, ValidationIssue, validate
 from .interp import (
     ExecState,
     PrimitiveRequest,
+    Request,
     SayRequest,
     WaitRequest,
     step,
@@ -48,6 +49,7 @@ __all__ = [
     "validate",
     "ExecState",
     "PrimitiveRequest",
+    "Request",
     "SayRequest",
     "WaitRequest",
     "step",

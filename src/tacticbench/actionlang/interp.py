@@ -1,16 +1,17 @@
 """Stepwise ActScript interpreter.
 
-``step`` yields exactly the next primitive/wait/say request and otherwise
-advances control flow.  ``loop { }`` bodies that complete a full pass
-without producing a request yield an implicit 1-tick wait so interpretation
-always makes forward progress.  A primitive failure reported through
-``report_error`` aborts the program with the environment feedback string.
+An ``ExecState`` is one agent's runtime: it runs its loaded program as a
+Python generator, and ``step`` resumes it up to the next primitive/wait/say
+request.  ``loop { }`` passes that produce no request yield an implicit
+1-tick wait so interpretation always makes forward progress.  A primitive
+failure reported through ``report_error`` aborts the program with the
+environment feedback string.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Generator, Optional, Union
 
 from .parse import ActionProgram, Call, IfHas, Loop, Repeat, Say, Statement, Wait
 
@@ -21,7 +22,6 @@ _ITEM_ID = re.compile(r"^[a-z_][a-z0-9_]*$")
 class PrimitiveRequest:
     name: str
     args: list
-    call: Call
 
 
 @dataclass
@@ -37,100 +37,93 @@ class SayRequest:
 Request = Union[PrimitiveRequest, WaitRequest, SayRequest]
 
 
-@dataclass
-class _Frame:
-    body: list[Statement]
-    idx: int = 0
-    kind: str = "block"  # block | loop | repeat
-    remaining: int = 0  # repeat iterations left (current one included)
-    produced: bool = False  # did this loop pass produce a request?
+class _ProgramError(Exception):
+    """Ends the whole program with status ``error``."""
 
 
-@dataclass
 class ExecState:
-    program: ActionProgram
-    frames: list[_Frame] = field(default_factory=list)
-    status: str = "running"  # running | done | error
-    error_message: Optional[str] = None
+    """One agent's ActScript runtime.
 
-    def __post_init__(self) -> None:
-        self.frames = [_Frame(self.program.statements)]
+    ``load`` starts a program (status ``running``); it ends ``done`` or, on
+    a runtime error or a failure passed to ``report_error``, ``error``.
+    With nothing loaded the status is ``done``.  Idle ticks charged with
+    ``charge_idle`` wait in ``pending_idle`` for the team system to serve
+    them as one wait before the program resumes.
+    """
+
+    def __init__(self, program: Optional[ActionProgram] = None) -> None:
+        self.status = "done"  # running | done | error
+        self.error_message: Optional[str] = None
+        self.pending_idle = 0
+        self._requests: Optional[Generator[Request, None, bool]] = None
+        self._view = None  # the view of the step in progress
+        if program is not None:
+            self.load(program)
+
+    def load(self, program: ActionProgram) -> None:
+        self.status = "running"
+        self.error_message = None
+        self._requests = self._block(program.statements)
 
     def report_error(self, message: str) -> None:
         self.status = "error"
         self.error_message = message
 
-    def mark_done(self) -> None:
-        self.status = "done"
+    def charge_idle(self, ticks: int) -> None:
+        if ticks > 0:
+            self.pending_idle += ticks
+
+    def _block(self, body: list[Statement]) -> Generator[Request, None, bool]:
+        """Runs ``body`` once; returns whether it yielded a request."""
+        produced = False
+        for stmt in body:
+            if isinstance(stmt, Call):
+                yield PrimitiveRequest(stmt.name, list(stmt.args))
+                produced = True
+            elif isinstance(stmt, Wait):
+                yield WaitRequest(stmt.ticks)
+                produced = True
+            elif isinstance(stmt, Say):
+                yield SayRequest(stmt.text)
+                produced = True
+            elif isinstance(stmt, Repeat):
+                if stmt.body:
+                    for _ in range(stmt.count):
+                        produced = (yield from self._block(stmt.body)) or produced
+            elif isinstance(stmt, Loop):
+                while True:
+                    if not (yield from self._block(stmt.body)):
+                        # request-free pass: burn a tick instead of spinning
+                        yield WaitRequest(1)
+            elif isinstance(stmt, IfHas):
+                if not _ITEM_ID.match(stmt.item):
+                    raise _ProgramError(f"has() called with malformed item id {stmt.item!r}")
+                if self._view.inventory.count(stmt.item) >= stmt.count:
+                    branch = stmt.then
+                else:
+                    branch = stmt.otherwise
+                produced = (yield from self._block(branch)) or produced
+            else:
+                raise _ProgramError(f"unknown statement {stmt!r}")
+        return produced
 
 
-def step(exec_state: ExecState, world, agent) -> Optional[Request]:
+def step(state: ExecState, view) -> Optional[Request]:
     """Advance to the next request; None when the program is done/errored.
 
-    ``world`` supplies the episode clock (``tick`` / ``duration``), ``agent``
-    supplies the inventory consulted by ``if has(...)``.
+    ``view`` supplies the episode clock (``tick`` / ``duration``) and the
+    inventory consulted by ``if has(...)``.
     """
-    if exec_state.status != "running":
+    if state.status != "running":
         return None
-    if world is not None and world.tick >= getattr(world, "duration", float("inf")):
-        exec_state.mark_done()
+    if view.tick >= view.duration:
+        state.status = "done"
         return None
-    frames = exec_state.frames
-    while True:
-        if not frames:
-            exec_state.mark_done()
-            return None
-        frame = frames[-1]
-        if frame.idx >= len(frame.body):
-            if frame.kind == "loop":
-                if world is not None and world.tick >= world.duration:
-                    exec_state.mark_done()
-                    return None
-                if not frame.produced:
-                    # empty or request-free pass: burn a tick instead of spinning
-                    frame.idx = 0
-                    return WaitRequest(1)
-                frame.produced = False
-                frame.idx = 0
-                continue
-            if frame.kind == "repeat":
-                frame.remaining -= 1
-                if frame.remaining > 0:
-                    frame.idx = 0
-                    continue
-            frames.pop()
-            continue
-        stmt = frame.body[frame.idx]
-        frame.idx += 1
-        if isinstance(stmt, Call):
-            _mark_produced(frames)
-            return PrimitiveRequest(stmt.name, list(stmt.args), stmt)
-        if isinstance(stmt, Wait):
-            _mark_produced(frames)
-            return WaitRequest(stmt.ticks)
-        if isinstance(stmt, Say):
-            _mark_produced(frames)
-            return SayRequest(stmt.text)
-        if isinstance(stmt, Repeat):
-            if stmt.count > 0 and stmt.body:
-                frames.append(_Frame(stmt.body, kind="repeat", remaining=stmt.count))
-            continue
-        if isinstance(stmt, Loop):
-            frames.append(_Frame(stmt.body, kind="loop"))
-            continue
-        if isinstance(stmt, IfHas):
-            if not _ITEM_ID.match(stmt.item):
-                exec_state.report_error(f"has() called with malformed item id {stmt.item!r}")
-                return None
-            branch = stmt.then if agent.inventory.count(stmt.item) >= stmt.count else stmt.otherwise
-            if branch:
-                frames.append(_Frame(branch))
-            continue
-        exec_state.report_error(f"unknown statement {stmt!r}")
-        return None
-
-
-def _mark_produced(frames: list[_Frame]) -> None:
-    for f in frames:
-        if f.kind == "loop":
-            f.produced = True
+    state._view = view
+    try:
+        return next(state._requests)
+    except StopIteration:
+        state.status = "done"
+    except _ProgramError as exc:
+        state.report_error(str(exc))
+    return None

@@ -22,14 +22,6 @@ class Token:
     line: int  # 1-based
     col: int  # 1-based
 
-    @property
-    def value(self):
-        if self.kind == "int":
-            return int(self.text)
-        if self.kind == "string":
-            return self.text
-        return self.text
-
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []

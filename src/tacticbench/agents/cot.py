@@ -6,10 +6,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..actionlang import ActionProgram, parse_source, pretty_print
+from ..actionlang import ActionProgram, ExecState, Request, parse_source, pretty_print
 # bound here for perfbench/layers.py, which traces it by module
 from ..actionlang import validate  # noqa: F401
-from ..systems import AgentView, Request, ScenarioMetadata, ScriptDriver, ScriptTeam
+from ..systems import AgentView, ScenarioMetadata, ScriptTeam
 from .client import ChatClient
 from .dedup import dedup_events
 from .tacticrafter import (
@@ -86,10 +86,7 @@ class CoTTeamSystem(ScriptTeam):
         )
         programs = cot_baseline(self.client, prompt, len(agents), metadata.primitive_table)
         # an agent left without a program gets the wait loop at its first poll
-        self.drivers = {name: ScriptDriver() for name in agents}
-        for driver, program in zip(self.drivers.values(), programs):
-            if program is not None:
-                driver.load(program)
+        self.drivers = {name: ExecState(program) for name, program in zip(agents, programs)}
         texts = [WAIT_LOOP_SOURCE if p is None else pretty_print(p) for p in programs]
         self._memory = _EpisodeMemory(programs="\n\n".join(texts), log=TeamLog(agents))
 

@@ -19,8 +19,8 @@ from dataclasses import asdict, dataclass, field
 from importlib import resources
 from typing import Callable, Optional, TypeVar
 
-from ..actionlang import ActionProgram, ParseError, parse_source, validate
-from ..systems import AgentView, Request, ScenarioMetadata, ScriptDriver, ScriptTeam
+from ..actionlang import ActionProgram, ExecState, ParseError, Request, parse_source, validate
+from ..systems import AgentView, ScenarioMetadata, ScriptTeam
 from ..world import TICKS_PER_SECOND, Event
 from .causal import CausalGraph, CausalRelation
 from .client import ChatClient, ChatCompletionRequest, ChatMessage
@@ -292,12 +292,12 @@ def checkpoint_load(checkpoint: Checkpoint, client: ChatClient) -> "TactiCrafter
 
 
 class _BaseAgent:
-    """One base agent: program driver plus roll-out iteration bookkeeping."""
+    """One base agent: its ActScript runtime plus roll-out iteration bookkeeping."""
 
     def __init__(self, name: str, index: int) -> None:
         self.name = name
         self.index = index
-        self.driver = ScriptDriver()
+        self.driver = ExecState()
         self.iterations = 0
         self.parse_failures = 0
         self.benched = False

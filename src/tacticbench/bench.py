@@ -86,6 +86,9 @@ class RunConfig:
         for what, names in (("scenarios", self.scenarios), ("opponents", self.opponents or [])):
             if len(set(names)) != len(names):
                 raise ValueError(f"duplicate {what} in {names}")
+        for scenario in self.scenarios:
+            for name in self.opponents or []:
+                builtin(name, scenario)  # raises for an opponent the scenario lacks
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -319,7 +322,7 @@ def run_benchmark(config: RunConfig, folder_name: Optional[str] = None) -> Bench
                 # its finished episodes stay in the rows, and so in the report
                 failed.append(f"{scenario}/{config.red_system}-vs-{opponent}: {exc}")
     report = report_from_rows(rows, sigmas)
-    from . import export  # it imports this module, and numpy
+    from . import export  # it imports this module
 
     export.export_all(folder.path, rows, report)
     if failed:

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from collections import defaultdict
 from pathlib import Path
-
-import numpy as np
 
 from .bench import RunConfig
 from .metrics import MetricsReport, report_from_rows
@@ -63,16 +62,33 @@ def write_metrics_summary(run_dir: Path, report: MetricsReport) -> None:
     write_matchup_matrix(run_dir / "metrics_summary.csv", report)
 
 
-def _points_per_tick(timeline: list[list[int]], ticks: int) -> np.ndarray:
-    series = np.zeros(ticks, dtype=float)
+def _points_per_tick(timeline: list[list[int]], ticks: int) -> list[float]:
+    series = [0.0] * ticks
     for tick, points in timeline:
         if tick < ticks:
-            series[tick:] = points
+            series[tick:] = [float(points)] * (ticks - tick)
     return series
 
 
+def _band(column: tuple[float, ...]) -> tuple[float, float]:
+    """Mean and confidence half-width of one tick's values, summed in row
+    order as numpy's ``mean`` and ``std(ddof=1)`` do, so every digit agrees."""
+    n = len(column)
+    total = 0.0
+    for value in column:
+        total += value
+    mean = total / n
+    if n == 1:
+        return mean, 0.0
+    ss = 0.0
+    for value in column:
+        d = value - mean
+        ss += d * d
+    return mean, _Z * math.sqrt(ss / (n - 1)) / math.sqrt(n)
+
+
 def write_timelines(run_dir: Path, rows: list[dict]) -> None:
-    by_scenario: dict[str, dict[str, list[np.ndarray]]] = defaultdict(lambda: defaultdict(list))
+    by_scenario: dict[str, dict[str, list[list[float]]]] = defaultdict(lambda: defaultdict(list))
     ticks_by_scenario: dict[str, int] = {}
     for row in rows:
         ticks = int(row.get("ticks", 2400))
@@ -85,17 +101,13 @@ def write_timelines(run_dir: Path, rows: list[dict]) -> None:
             writer = csv.writer(fh)
             writer.writerow(["opponent", "tick", "mean", "lo", "hi"])
             for opponent, all_series in sorted(opponents.items()):
-                stack = np.vstack(all_series)
-                mean = stack.mean(axis=0)
-                if stack.shape[0] > 1:
-                    half = _Z * stack.std(axis=0, ddof=1) / np.sqrt(stack.shape[0])
-                else:
-                    half = np.zeros(ticks)
-                for tick in range(ticks):
-                    writer.writerow(
-                        [opponent, tick, f"{mean[tick]:.6g}",
-                         f"{mean[tick] - half[tick]:.6g}", f"{mean[tick] + half[tick]:.6g}"]
-                    )
+                last = None
+                for tick, column in enumerate(zip(*all_series)):
+                    if column != last:  # the series are step functions: most ticks repeat
+                        last = column
+                        mean, half = _band(column)
+                        cells = [f"{mean:.6g}", f"{mean - half:.6g}", f"{mean + half:.6g}"]
+                    writer.writerow([opponent, tick, *cells])
 
 
 def export_all(run_dir: Path, rows: list[dict], report: MetricsReport) -> None:

@@ -19,12 +19,13 @@ from typing import Optional
 from .actionlang import (
     ActionProgram,
     Call,
+    ExecState,
     PrimitiveTable,
     parse_source,
     validate,
 )
 from .scenarios import CROPS, DASH_AND_DINE, MUSHROOM_WAR
-from .systems import AgentView, ScenarioMetadata, ScriptDriver, ScriptTeam
+from .systems import AgentView, ScenarioMetadata, ScriptTeam
 from .world import Layout, Observation
 
 FALLBACK_RETRY_TICKS = 40  # min delay before retrying an errored primary
@@ -205,7 +206,7 @@ class _AgentPolicy:
     with an optional fallback pass after each primary error."""
 
     def __init__(
-        self, script: AgentScript, constants: dict[str, object], driver: ScriptDriver
+        self, script: AgentScript, constants: dict[str, object], driver: ExecState
     ) -> None:
         self.script = script
         self.constants = constants
@@ -224,7 +225,7 @@ class _AgentPolicy:
         return program
 
     def advance(self, tick: int) -> ActionProgram:
-        """The next program, once the driver's has ended or errored (or
+        """The next program, once the loaded one has ended or errored (or
         none is loaded yet)."""
         if self.stage == "prologue":
             if self.prologue_idx < len(self.script.prologues):
@@ -264,7 +265,7 @@ class BuiltinTeamSystem(ScriptTeam):
     def pre_game(self, metadata: ScenarioMetadata, team_id: str, initial_obs) -> None:
         constants = metadata.constants.get(team_id, {})
         scripts = self.spec.scripts
-        self.drivers = {agent: ScriptDriver() for agent in metadata.teams[team_id]}
+        self.drivers = {agent: ExecState() for agent in metadata.teams[team_id]}
         self._policies = {
             agent: _AgentPolicy(scripts[min(i, len(scripts) - 1)], constants, driver)
             for i, (agent, driver) in enumerate(self.drivers.items())
@@ -395,7 +396,7 @@ class RandomTeamSystem(ScriptTeam):
 
     def pre_game(self, metadata: ScenarioMetadata, team_id: str, initial_obs) -> None:
         self._metadata = metadata
-        self.drivers = {name: ScriptDriver() for name in metadata.teams[team_id]}
+        self.drivers = {name: ExecState() for name in metadata.teams[team_id]}
 
     def next_program(self, agent_name: str, view: AgentView) -> ActionProgram:
         call = random_call(self._rng, self._metadata.primitive_table, view, self._metadata)

@@ -200,16 +200,16 @@ def run_episode(
                 continue
             if isinstance(req, WaitRequest):
                 agent.busy_until = world.tick + max(1, req.ticks)
-                outcome = ExecOutcome(True, f"waited {req.ticks} ticks", max(1, req.ticks), req)
+                outcome = ExecOutcome(True, f"waited {req.ticks} ticks")
             elif isinstance(req, SayRequest):
                 world.broadcast(agent.name, req.text)
                 agent.busy_until = world.tick + 1
-                outcome = ExecOutcome(True, req.text, 1, req)
+                outcome = ExecOutcome(True, req.text)
             elif isinstance(req, PrimitiveRequest):
                 res = execute(world, config, agent, req)
                 if not res.blocking:
                     agent.busy_until = world.tick + res.duration
-                outcome = ExecOutcome(res.ok, res.message, res.duration, req)
+                outcome = ExecOutcome(res.ok, res.message)
             else:
                 sideline(agent, TypeError(f"bad request {req!r}"))
                 continue

@@ -13,22 +13,12 @@ static metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Protocol, Union
+from typing import Callable, Optional, Protocol
 
-from .actionlang import (
-    ActionProgram,
-    ExecState,
-    PrimitiveRequest,
-    PrimitiveTable,
-    SayRequest,
-    WaitRequest,
-    step,
-)
+from .actionlang import ActionProgram, ExecState, PrimitiveTable, Request, WaitRequest, step
 # bound here for perfbench/layers.py, which traces it by module
 from .actionlang import parse_source  # noqa: F401
 from .world import Event, Inventory, Observation
-
-Request = Union[PrimitiveRequest, WaitRequest, SayRequest]
 
 
 @dataclass
@@ -96,8 +86,6 @@ class AgentView:
 class ExecOutcome:
     ok: bool
     message: str
-    duration: int
-    request: Optional[Request] = None
 
 
 @dataclass
@@ -125,74 +113,33 @@ class TeamSystem(Protocol):
     def post_game(self, score: EpisodeScore) -> None: ...
 
 
-class ScriptDriver:
-    """Runs one agent's loaded ActScript program one request at a time.
-
-    ``next_request`` returns None once the program has finished or errored;
-    the owning ``ScriptTeam`` then loads the next program.  Idle ticks
-    charged with ``charge_idle`` are served as one wait before the program
-    resumes.
-    """
-
-    def __init__(self) -> None:
-        self.exec: Optional[ExecState] = None
-        self.pending_idle: int = 0
-
-    def load(self, program: ActionProgram) -> None:
-        self.exec = ExecState(program)
-
-    @property
-    def status(self) -> str:
-        return self.exec.status if self.exec else "done"
-
-    @property
-    def error_message(self) -> Optional[str]:
-        return self.exec.error_message if self.exec else None
-
-    def next_request(self, view: AgentView) -> Optional[Request]:
-        if self.pending_idle > 0:
-            idle = self.pending_idle
-            self.pending_idle = 0
-            return WaitRequest(idle)
-        if self.exec is None or self.exec.status != "running":
-            return None
-        return step(self.exec, view, view)
-
-    def report(self, outcome: ExecOutcome) -> None:
-        if self.exec is not None and not outcome.ok:
-            self.exec.report_error(outcome.message)
-
-    def charge_idle(self, ticks: int) -> None:
-        if ticks > 0:
-            self.pending_idle += ticks
-
-
 class ScriptTeam:
-    """Base of the team systems that run each agent through a
-    ``ScriptDriver``.
+    """Base of the team systems that run each agent's programs in an
+    ``ExecState``.
 
-    ``next_request`` is the one poll: it asks the agent's driver for a
-    request, and once the loaded program has ended or errored it loads the
-    program ``next_program`` picks and asks again, once.  A subclass sets up
-    ``drivers`` in ``pre_game`` and implements ``next_program``.  When that
-    returns None, or its program ends without a request, the agent idles
-    until its next poll.  Outcomes go to the agent's driver, and the game
-    ends with nothing to learn unless a subclass overrides ``post_game``.
+    ``next_request`` is the one poll: it serves the agent's charged idle
+    ticks as one wait, else steps its running program, and once the loaded
+    program has ended or errored it loads the program ``next_program``
+    picks and asks again, once.  A subclass sets up ``drivers`` in
+    ``pre_game`` and implements ``next_program``.  When that returns None,
+    or its program ends without a request, the agent idles until its next
+    poll.  A failed outcome aborts the agent's program, and the game ends
+    with nothing to learn unless a subclass overrides ``post_game``.
     """
 
     def __init__(self) -> None:
-        self.drivers: dict[str, ScriptDriver] = {}
+        self.drivers: dict[str, ExecState] = {}
 
     def next_request(self, agent_name: str, view: AgentView) -> Optional[Request]:
-        driver = self.drivers[agent_name]
-        req = driver.next_request(view)
+        state = self.drivers[agent_name]
+        req = _serve(state, view)
         if req is not None:
             return req
         program = self.next_program(agent_name, view)
         if program is None:
             return None
-        driver.load(program)
-        return driver.next_request(view)
+        state.load(program)
+        return _serve(state, view)
 
     def next_program(self, agent_name: str, view: AgentView) -> Optional[ActionProgram]:
         """The program ``agent_name`` runs next, its last one having ended
@@ -200,7 +147,20 @@ class ScriptTeam:
         raise NotImplementedError
 
     def on_result(self, agent_name: str, outcome: ExecOutcome) -> None:
-        self.drivers[agent_name].report(outcome)
+        if not outcome.ok:
+            self.drivers[agent_name].report_error(outcome.message)
 
     def post_game(self, score: EpisodeScore) -> None:
         pass
+
+
+def _serve(state: ExecState, view: AgentView) -> Optional[Request]:
+    """The charged idle as one wait, else the running program's next
+    request; None once the program has ended or errored."""
+    if state.pending_idle > 0:
+        idle = state.pending_idle
+        state.pending_idle = 0
+        return WaitRequest(idle)
+    if state.status != "running":
+        return None
+    return step(state, view)

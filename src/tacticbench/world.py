@@ -90,9 +90,6 @@ class Inventory:
                 del self.stacks[item]
         return taken
 
-    def total(self) -> int:
-        return sum(self.stacks.values())
-
     def items(self):
         return self.stacks.items()
 
@@ -261,9 +258,6 @@ class WorldState:
 
     def in_bounds(self, x: int, z: int) -> bool:
         return 0 <= x < self.layout.width and 0 <= z < self.layout.depth
-
-    def cell(self, x: int, z: int) -> Optional[BlockCell]:
-        return self.cells.get((x, z))
 
     def area_of(self, x: int, z: int) -> str:
         # validate_layout keeps every area in bounds, so outside is neutral

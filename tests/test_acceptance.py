@@ -14,7 +14,6 @@ from test_actionlang import MALFORMED, _golden_corpus
 
 from tacticbench.actionlang import ParseError, parse_source, pretty_print
 from tacticbench.actionlang.interp import PrimitiveRequest
-from tacticbench.actionlang.parse import Call
 from tacticbench.agents import CausalGraph, CausalRelation, dedup_events
 from tacticbench.bench import (
     CALIBRATION_EPISODES,
@@ -218,7 +217,7 @@ def test_criterion_05_first_score_comes_later_in_dash_and_dine(mw_round_robins, 
 
 
 def _exec(world, config, agent, name, *args):
-    request = PrimitiveRequest(name, list(args), Call(name, list(args)))
+    request = PrimitiveRequest(name, list(args))
     return execute(world, config, world.agent(agent), request)
 
 

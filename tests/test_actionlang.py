@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import random
+import re
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -224,7 +226,7 @@ def _drain(source: str, session: FakeSession, limit: int = 50):
     state = ExecState(parse_source(source))
     out = []
     for _ in range(limit):
-        req = step(state, session, session)
+        req = step(state, session)
         if req is None:
             break
         out.append(req)
@@ -250,7 +252,7 @@ def test_empty_loop_yields_implicit_waits():
     session = FakeSession()
     state = ExecState(parse_source("loop {\n}\n"))
     for _ in range(5):
-        req = step(state, session, session)
+        req = step(state, session)
         assert isinstance(req, WaitRequest) and req.ticks == 1
     assert state.status == "running"
 
@@ -261,11 +263,11 @@ def test_cached_program_steps_independently_in_two_exec_states():
     assert parse_source(source) is program  # cached: one shared program
     session = FakeSession()
     first, second = ExecState(program), ExecState(parse_source(source))
-    a = [step(first, session, session) for _ in range(3)]
-    b = [step(second, session, session) for _ in range(5)]
+    a = [step(first, session) for _ in range(3)]
+    b = [step(second, session) for _ in range(5)]
     assert [type(r).__name__ for r in a] == ["WaitRequest", "SayRequest", "WaitRequest"]
     assert isinstance(b[4], PrimitiveRequest) and b[4].name == "mineBlock"
-    assert isinstance(step(first, session, session), SayRequest)  # unmoved by second
+    assert isinstance(step(first, session), SayRequest)  # unmoved by second
     b[4].args.append(1)  # a request's args are its own copy
     assert program == parse_source.__wrapped__(source)
 
@@ -292,17 +294,17 @@ def test_if_has_checks_inventory():
 def test_if_has_malformed_item_is_runtime_error():
     session = FakeSession()
     state = ExecState(parse_source('if has("NOT AN ID", 1) {\n  wait(1)\n}\n'))
-    assert step(state, session, session) is None
+    assert step(state, session) is None
     assert state.status == "error"
 
 
 def test_error_report_aborts_program():
     session = FakeSession()
     state = ExecState(parse_source('loop {\n  mineBlock("slime_block", 1)\n}\n'))
-    req = step(state, session, session)
+    req = step(state, session)
     assert isinstance(req, PrimitiveRequest)
     state.report_error("No slime_block nearby")
-    assert step(state, session, session) is None
+    assert step(state, session) is None
     assert state.status == "error"
     assert state.error_message == "No slime_block nearby"
 
@@ -311,8 +313,185 @@ def test_episode_end_marks_done():
     session = FakeSession(duration=100)
     session.tick = 100
     state = ExecState(parse_source("loop {\n  wait(1)\n}\n"))
-    assert step(state, session, session) is None
+    assert step(state, session) is None
     assert state.status == "done"
+
+
+def test_an_empty_state_is_done_until_a_program_is_loaded():
+    session = FakeSession()
+    state = ExecState()
+    assert (state.status, state.error_message, state.pending_idle) == ("done", None, 0)
+    assert step(state, session) is None
+    state.load(parse_source('if has("BAD ID", 1) {\n}\n'))
+    assert step(state, session) is None and state.status == "error"
+    state.load(parse_source("wait(3)\n"))  # a new program clears the old error
+    assert (state.status, state.error_message) == ("running", None)
+    assert step(state, session) == WaitRequest(3)
+    state.charge_idle(0)
+    state.charge_idle(4)
+    state.charge_idle(5)
+    assert state.pending_idle == 9
+
+
+# -- the frame-stack interpreter the generator replaced, kept as an oracle ----
+
+
+class _OracleFrame:
+    def __init__(self, body, kind="block", remaining=0):
+        self.body = body
+        self.idx = 0
+        self.kind = kind  # block | loop | repeat
+        self.remaining = remaining  # repeat iterations left (current one included)
+        self.produced = False  # did this loop pass produce a request?
+
+
+class _OracleState:
+    def __init__(self, program: ActionProgram) -> None:
+        self.frames = [_OracleFrame(program.statements)]
+        self.status = "running"
+        self.error_message = None
+
+    def report_error(self, message: str) -> None:
+        self.status = "error"
+        self.error_message = message
+
+
+def _oracle_step(exec_state: _OracleState, world, agent):
+    if exec_state.status != "running":
+        return None
+    if world.tick >= world.duration:
+        exec_state.status = "done"
+        return None
+    frames = exec_state.frames
+    while True:
+        if not frames:
+            exec_state.status = "done"
+            return None
+        frame = frames[-1]
+        if frame.idx >= len(frame.body):
+            if frame.kind == "loop":
+                if world.tick >= world.duration:
+                    exec_state.status = "done"
+                    return None
+                if not frame.produced:
+                    frame.idx = 0
+                    return WaitRequest(1)
+                frame.produced = False
+                frame.idx = 0
+                continue
+            if frame.kind == "repeat":
+                frame.remaining -= 1
+                if frame.remaining > 0:
+                    frame.idx = 0
+                    continue
+            frames.pop()
+            continue
+        stmt = frame.body[frame.idx]
+        frame.idx += 1
+        if isinstance(stmt, (Call, Wait, Say)):
+            for f in frames:
+                if f.kind == "loop":
+                    f.produced = True
+            if isinstance(stmt, Call):
+                return PrimitiveRequest(stmt.name, list(stmt.args))
+            if isinstance(stmt, Wait):
+                return WaitRequest(stmt.ticks)
+            return SayRequest(stmt.text)
+        if isinstance(stmt, Repeat):
+            if stmt.count > 0 and stmt.body:
+                frames.append(_OracleFrame(stmt.body, kind="repeat", remaining=stmt.count))
+            continue
+        if isinstance(stmt, Loop):
+            frames.append(_OracleFrame(stmt.body, kind="loop"))
+            continue
+        if isinstance(stmt, IfHas):
+            if not re.match(r"^[a-z_][a-z0-9_]*$", stmt.item):
+                exec_state.report_error(f"has() called with malformed item id {stmt.item!r}")
+                return None
+            branch = stmt.then if agent.inventory.count(stmt.item) >= stmt.count else stmt.otherwise
+            if branch:
+                frames.append(_OracleFrame(branch))
+            continue
+        exec_state.report_error(f"unknown statement {stmt!r}")
+        return None
+
+
+@dataclass
+class Dance:
+    """A statement the interpreter does not know."""
+
+    steps: int
+
+
+_HAS_ITEMS = ("wheat", "egg")
+_leaf = st.one_of(
+    st.builds(
+        Call,
+        st.sampled_from(["mineBlock", "farm"]),
+        st.lists(st.one_of(st.integers(0, 3), st.sampled_from(_HAS_ITEMS)), max_size=2),
+    ),
+    st.builds(Wait, st.integers(0, 3)),
+    st.builds(Say, st.sampled_from(["a", "b"])),
+)
+# one leaf in twenty is a statement the interpreter does not know
+_statement_leaf = st.integers(0, 19).flatmap(
+    lambda i: st.builds(Dance, st.integers(0, 2)) if i == 0 else _leaf
+)
+
+
+# one id in five is malformed
+_has_ids = st.sampled_from(["wheat", "egg", "wheat", "egg", "NOT AN ID"])
+
+
+def _compound(children):
+    bodies = st.lists(children, max_size=3)  # empty bodies included
+    return st.one_of(
+        st.builds(Repeat, st.integers(0, 3), bodies),  # repeat 0 included
+        st.builds(Loop, bodies),
+        st.builds(IfHas, _has_ids, st.integers(0, 2), bodies, bodies),
+    )
+
+
+_statements = st.recursive(_statement_leaf, _compound, max_leaves=12)
+# a loop whose requests all come from its ifs: "produced" must propagate
+_loop_of_ifs = st.builds(
+    Loop,
+    st.lists(
+        st.builds(
+            IfHas,
+            _has_ids,
+            st.integers(0, 2),
+            st.lists(_statements, max_size=2),
+            st.lists(_statements, max_size=2),
+        ),
+        min_size=1,
+        max_size=2,
+    ),
+)
+_programs = st.builds(ActionProgram, st.lists(st.one_of(_statements, _loop_of_ifs), max_size=4))
+
+
+@settings(max_examples=400, deadline=None)
+@given(program=_programs, data=st.data())
+def test_generator_runtime_matches_the_frame_stack_oracle(program, data):
+    session = FakeSession(duration=data.draw(st.integers(1, 80), label="duration"))
+    oracle, state = _OracleState(program), ExecState(program)
+    for _ in range(60):
+        session.inventory = Inventory(
+            data.draw(st.dictionaries(st.sampled_from(_HAS_ITEMS), st.integers(1, 3)))
+        )
+        expected = _oracle_step(oracle, session, session)
+        got = step(state, session)
+        assert got == expected
+        assert (state.status, state.error_message) == (oracle.status, oracle.error_message)
+        if state.status != "running":
+            assert step(state, session) is None
+            return
+        # one primitive in eight fails
+        if isinstance(got, PrimitiveRequest) and data.draw(st.integers(0, 7), label="fails") == 0:
+            oracle.report_error(f"{got.name} failed")
+            state.report_error(f"{got.name} failed")
+        session.tick += data.draw(st.integers(0, 3), label="ticks")
 
 
 def test_ast_equality_ignores_positions():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -34,7 +35,6 @@ from tacticbench.metrics import (
     metric_values,
 )
 from tacticbench.actionlang import PrimitiveRequest, WaitRequest
-from tacticbench.actionlang.parse import Call
 from tacticbench.agents import CoTTeamSystem, TactiCrafterSystem
 from tacticbench.opponents import BuiltinTeamSystem, RandomTeamSystem, builtin, list_builtin
 from tacticbench.runner import build_metadata
@@ -135,6 +135,9 @@ def test_run_config_rejects_unknown_keys_and_values():
         RunConfig(scenarios=["mushroom_war", "mushroom_war"])
     with pytest.raises(ValueError, match="duplicate opponents"):
         RunConfig.from_dict({"opponents": ["passive", "do_nothing", "passive"]})
+    # passive is a mushroom_war builtin only: rejected before any episode runs
+    with pytest.raises(ValueError, match="no builtin opponent 'passive' for scenario 'dash_and_dine'"):
+        RunConfig(scenarios=["mushroom_war", "dash_and_dine"], opponents=["do_nothing", "passive"])
 
 
 def test_run_config_yaml_round_trip(tmp_path):
@@ -264,20 +267,21 @@ def test_calibration_key_is_the_same_under_any_hash_seed():
 
 def test_a_mock_run_never_imports_requests():
     # only HttpChatClient needs requests, and importing it costs a mock run
-    # about as much as the rest of the package
+    # about as much as the rest of the package; numpy is no runtime dependency
     code = (
         "import sys\n"
         "import tacticbench\n"
+        "import tacticbench.export\n"
         "from tacticbench.bench import ClientConfig, RunConfig\n"
         "config = RunConfig(scenarios=['mushroom_war'], client=ClientConfig(kind='mock'))\n"
         "config.client.build()\n"
-        "print('requests' in sys.modules)\n"
+        "print('requests' in sys.modules, 'numpy' in sys.modules)\n"
     )
     src = str(Path(bench.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert run.stdout.split() == ["False"]
+    assert run.stdout.split() == ["False", "False"]
 
 
 def test_calibration_runs_exactly_twenty_episodes(monkeypatch):
@@ -374,6 +378,31 @@ def test_timeline_rows_cover_every_tick(mini_run):
     assert len(rows) == 1 + 2 * 2400  # two opponents, one row per tick
     for _, _, mean, lo, hi in rows[1:]:
         assert float(lo) <= float(mean) <= float(hi)
+
+
+# sha256 of each timeline CSV, recorded when numpy computed the band
+TIMELINE_PINS = {
+    "balanced": (
+        dict(scenarios=["mushroom_war"], opponents=["passive", "aggressive"], episodes=5,
+             repeats=2, red_system="builtin:balanced"),
+        "timeline_mushroom_war.csv",
+        "e167c8b267ebc6ecf36bab9e10f35ffc1b3220f6905947eaa5bdc72db3263143",
+    ),
+    "one-series": (
+        dict(scenarios=["dash_and_dine"], opponents=["cake_beetroot"], episodes=1, repeats=1,
+             red_system="builtin:berries"),
+        "timeline_dash_and_dine.csv",
+        "303ad3f5f9a872227fd731cdf32735349687b0c1b82894ca6bc88167a5cece2a",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TIMELINE_PINS))
+def test_timeline_csv_matches_its_pin(tmp_path, case):
+    # "balanced" has 10 series per opponent, "one-series" a band of width 0
+    kwargs, name, digest = TIMELINE_PINS[case]
+    output = run_benchmark(RunConfig(seed=3, output_dir=str(tmp_path), **kwargs), folder_name="run")
+    assert hashlib.sha256((output.run_dir / name).read_bytes()).hexdigest() == digest
 
 
 def _top_level_files(run_dir: Path) -> dict[str, bytes]:
@@ -532,7 +561,7 @@ class _SignalledWaiter:
             args = ["send", "Ryn"]
         else:
             return WaitRequest(20)
-        return PrimitiveRequest("signal", args, Call("signal", args))
+        return PrimitiveRequest("signal", args)
 
     def on_result(self, agent_name, outcome):
         if agent_name == "Ryn":

@@ -7,7 +7,7 @@ from random import Random
 import pytest
 
 import tacticbench.opponents as opponents
-from tacticbench.actionlang import parse_source, pretty_print, validate
+from tacticbench.actionlang import ExecState, parse_source, pretty_print, step, validate
 from tacticbench.actionlang.parse import Call, IfHas, Loop, Repeat
 from tacticbench.opponents import (
     BuiltinTeamSystem,
@@ -20,7 +20,7 @@ from tacticbench.opponents import (
 )
 from tacticbench.runner import build_metadata, run_episode
 from tacticbench.scenarios import get_scenario
-from tacticbench.systems import AgentView, ScriptDriver
+from tacticbench.systems import AgentView
 from tacticbench.world import new_world
 
 
@@ -99,9 +99,7 @@ def test_every_builtin_script_renders_parses_and_validates():
                         )
                         # one reload per poll is enough: a fresh program
                         # always asks for something at its first step
-                        driver = ScriptDriver()
-                        driver.load(program)
-                        assert driver.next_request(view) is not None, (
+                        assert step(ExecState(program), view) is not None, (
                             f"{scenario}/{name}/{asset}"
                         )
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tacticbench.actionlang.interp import PrimitiveRequest
-from tacticbench.actionlang.parse import Call
 from tacticbench.primitives import (
     FAIL_TICKS,
     MINE_TICKS_PER_BLOCK,
@@ -28,7 +27,7 @@ def make_world(scenario: str, seed: int = 0):
 
 
 def req(name: str, *args) -> PrimitiveRequest:
-    return PrimitiveRequest(name, list(args), Call(name, list(args)))
+    return PrimitiveRequest(name, list(args))
 
 
 def run(world, config, agent_name, request):

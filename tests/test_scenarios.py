@@ -6,7 +6,6 @@ from random import Random
 import pytest
 
 from tacticbench.actionlang.interp import PrimitiveRequest
-from tacticbench.actionlang.parse import Call
 from tacticbench.primitives import execute
 from tacticbench.scenarios import (
     DEFAULT_FOOD_POINTS,
@@ -30,7 +29,7 @@ def make_world(scenario: str, seed: int = 0):
 
 
 def call(world, config, agent_name, name, *args):
-    request = PrimitiveRequest(name, list(args), Call(name, list(args)))
+    request = PrimitiveRequest(name, list(args))
     return execute(world, config, world.agent(agent_name), request)
 
 

@@ -14,13 +14,25 @@ the lines left to right: at position ``i`` it takes the longest window
 ``w <= min(64, (n - i) // 2)`` whose block is immediately repeated, keeps
 one copy, skips every further back-to-back copy and resumes after them;
 with no repeat it keeps line ``i`` and moves on.  That is exactly one
-``finditer`` of ``(.{1,64})\\1+``: the greedy ``.{1,64}`` tries the longest
-window first and backs off, ``\\1`` only matches a copy that fits in the
-string, ``\\1+`` takes every back-to-back copy, and the scan resumes at the
-end of a match or one character later after a miss.  ``re.DOTALL`` matters
-because id 10 encodes as ``"\\n"``.  Passes repeat until one finds no
-repeat.  Beside each pass's text the scan carries ``src``, the index in
-the input log of the line behind each character.
+``finditer`` of ``(.{1,64})\\1\\1*``: the greedy ``.{1,64}`` tries the
+longest window first and backs off, the bare ``\\1`` requires one copy that
+fits in the string, ``\\1*`` takes every further back-to-back copy, and the
+scan resumes at the end of a match or one character later after a miss.
+``re.DOTALL`` matters because id 10 encodes as ``"\\n"``.  Passes repeat
+until one finds no repeat.  Beside each pass's text the scan carries
+``src``, the index in the input log of the line behind each character.
+
+``\\1\\1*`` and ``\\1+`` match the same strings, one or more copies, and
+both take copies greedily.  Nothing follows the copies, so the engine never
+backtracks into them: it backs off to the next narrower window exactly when
+no first copy follows.  Every match therefore has the same start, ``end(1)``
+and end under either spelling, and reads the same characters (the reach
+bound below holds for both).  ``\\1\\1*`` is the cheaper one: CPython's
+``re`` compiles ``\\1+`` into a REPEAT/MAX_UNTIL loop around the
+back-reference, set up anew for each of the up to 64 windows tried at a
+position before the back-reference fails on its first character, while
+``\\1\\1*`` tests a bare back-reference first and enters the loop only
+after one copy has matched.
 
 Reuse.  A caller that dedups a growing log hands the same ``DedupMemo``
 to every call; it holds the id table, the encoded log and, per pass, the
@@ -54,7 +66,7 @@ from ..world import Event
 
 MAX_WINDOW = 64
 _READS = 2 * MAX_WINDOW  # how far an attempt at q reads before it takes copies
-_REPEAT = re.compile(r"(.{1,%d})\1+" % MAX_WINDOW, re.DOTALL)
+_REPEAT = re.compile(r"(.{1,%d})\1\1*" % MAX_WINDOW, re.DOTALL)
 
 
 class _Pass:

@@ -10,6 +10,7 @@ folder as they are produced.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import time
@@ -19,7 +20,6 @@ from typing import Callable, Iterator, Optional
 
 import yaml
 
-from . import __version__
 from .agents import (
     CoTTeamSystem,
     HttpChatClient,
@@ -155,11 +155,31 @@ def _rules_text(config: ScenarioConfig) -> str:
     )
 
 
+@functools.cache
+def _code_digest() -> str:
+    """sha256 over the package's modules, layouts and ``.act`` scripts, in
+    sorted relative-path order: any edit to code an episode may run, even a
+    comment, gives a new digest.  Read once per process, on first use."""
+    root = Path(__file__).resolve().parent
+    files = {
+        path.relative_to(root).as_posix(): path
+        for path in root.rglob("*")
+        if path.suffix in (".py", ".yaml", ".act")
+    }
+    h = hashlib.sha256()
+    for rel in sorted(files):
+        data = files[rel].read_bytes()
+        h.update(f"{rel}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
 def _calibration_key(config: ScenarioConfig, opponent: str, run_seed: int) -> str:
-    """``scenario:opponent:run_seed:sha256`` over the code version, the
-    scenario's rule constants, the text of every script the opponent and
-    the idle red side run, and the layout's initial world state."""
-    h = hashlib.sha256(__version__.encode())
+    """``scenario:opponent:run_seed:sha256`` over the package code
+    (``_code_digest``), the scenario's rule constants, the text of every
+    script the opponent and the idle red side run, and the layout's initial
+    world state."""
+    h = hashlib.sha256(_code_digest().encode())
     h.update(_rules_text(config).encode())
     for name in (opponent, "do_nothing"):
         for script in builtin(name, config.name).scripts:

@@ -13,7 +13,7 @@ from typing import Any, Optional
 
 from .actionlang.interp import PrimitiveRequest
 from .scenarios import CROPS, MOB_DROPS, SMELT_TICKS, ScenarioConfig, sabotage_transform
-from .world import NEUTRAL, AgentBody, Position, WorldState
+from .world import NEUTRAL, AgentBody, WorldState
 
 SEARCH_RADIUS = 64  # arenas are smaller than this; effectively whole-map search
 FAIL_TICKS = 10  # time lost on a failed primitive
@@ -98,14 +98,15 @@ def _ok(
 # -- movement helpers -------------------------------------------------------
 
 
-def _walk(world: WorldState, agent: AgentBody, target: Position, reach: int = 1) -> int:
-    """Move the agent within ``reach`` of target; returns travel ticks, one
-    per cell."""
+def _walk(world: WorldState, agent: AgentBody, x: int, z: int, reach: int = 1) -> int:
+    """Move the agent within ``reach`` of (x, z); returns travel ticks, one
+    per cell.  Agent and target are on the grid, so the cell it stops on is
+    too."""
     ax, az = agent.position.x, agent.position.z
-    nx = target.x + max(-reach, min(reach, ax - target.x))
-    nz = target.z + max(-reach, min(reach, az - target.z))
+    nx = x + max(-reach, min(reach, ax - x))
+    nz = z + max(-reach, min(reach, az - z))
     travel = max(abs(ax - nx), abs(az - nz))
-    agent.position = Position(nx, 0, nz)
+    agent.position = world.layout.positions[nx, nz]
     _pickup_ground_items(world, agent)
     return travel
 
@@ -183,7 +184,7 @@ def _prim_mine_block(world, config, agent, args) -> PrimResult:
         pos = _nearest_cell(world, agent, kind, area)
         if pos is None:
             break
-        total_ticks += _walk(world, agent, Position(pos[0], 0, pos[1]))
+        total_ticks += _walk(world, agent, *pos)
         drops = world.rules.mine_drops(world, pos, kind, agent)
         for item, n in drops.items():
             agent.inventory.add(item, n)
@@ -210,12 +211,12 @@ def _prim_craft_item(world, config, agent, args) -> PrimResult:
         table = _nearest_cell(world, agent, "crafting_table")
         if table is None:
             raise ValueError(f"I cannot make {item} because there is no crafting table nearby")
-        travel += _walk(world, agent, Position(*_xz(table)))
+        travel += _walk(world, agent, *table)
     if recipe.needs_mob:
         mob = _nearest_mob(world, agent, recipe.needs_mob)
         if mob is None:
             raise ValueError(f"I cannot make {item} because there is no {recipe.needs_mob} nearby")
-        travel += _walk(world, agent, mob.position)
+        travel += _walk(world, agent, mob.position.x, mob.position.z)
     can_make = min(
         count, min(agent.inventory.count(ing) // n for ing, n in recipe.inputs.items())
     )
@@ -243,7 +244,7 @@ def _prim_place_item(world, config, agent, args) -> PrimResult:
     target = _free_cell_near(world, x, z)
     if target is None:
         raise ValueError(f"No free cell near ({x}, {z}) to place {item}")
-    travel = _walk(world, agent, Position(*_xz(target)))
+    travel = _walk(world, agent, *target)
     agent.inventory.remove(item, 1)
     world.set_block(target, item)
     world.rules.on_block_placed(world, target, item, agent)
@@ -270,7 +271,7 @@ def _prim_smelt_item(world, config, agent, args) -> PrimResult:
         raise ValueError("All furnaces are busy")
     free.sort(key=lambda f: agent.position.chebyshev(f.position))
     furnace = free[0]
-    travel = _walk(world, agent, furnace.position)
+    travel = _walk(world, agent, furnace.position.x, furnace.position.z)
     k = min(count, held)
     agent.inventory.remove(item, k)
     start = world.tick + travel
@@ -306,7 +307,7 @@ def _farm_harvest(world, agent, crop) -> PrimResult:
         pos = _nearest_cell(world, agent, crop.name, min_stage=crop.max_stage)
         if pos is None:
             break
-        ticks += _walk(world, agent, Position(*_xz(pos)))
+        ticks += _walk(world, agent, *pos)
         for item, n in crop.harvest_yield.items():
             agent.inventory.add(item, n)
             collected[item] = collected.get(item, 0) + n
@@ -330,7 +331,7 @@ def _farm_destroy(world, agent, crop) -> PrimResult:
         pos = _nearest_cell(world, agent, crop.name)
         if pos is None:
             break
-        ticks += _walk(world, agent, Position(*_xz(pos)))
+        ticks += _walk(world, agent, *pos)
         if world.cells[pos].growth_stage >= crop.max_stage:
             drops = dict(crop.destroy_drops)
         elif crop.replant_consumes_seed:
@@ -356,7 +357,7 @@ def _farm_plant(world, agent, crop) -> PrimResult:
         pos = _nearest_cell(world, agent, "farmland")
         if pos is None:
             break
-        ticks += _walk(world, agent, Position(*_xz(pos)))
+        ticks += _walk(world, agent, *pos)
         agent.inventory.remove(crop.seed, 1)
         world.set_block(pos, crop.name)
         world.rules.ensure_growth(world, pos)
@@ -373,7 +374,7 @@ def _prim_kill_mob(world, config, agent, args) -> PrimResult:
     mob = _nearest_mob(world, agent, kind)
     if mob is None:
         return _fail(world, agent, f"No {kind} found within timeout", duration=max(1, timeout))
-    travel = _walk(world, agent, mob.position)
+    travel = _walk(world, agent, mob.position.x, mob.position.z)
     mob.alive = False
     drops = MOB_DROPS.get(kind, {})
     for item, n in drops.items():
@@ -395,7 +396,7 @@ def _prim_give_to_player(world, config, agent, args) -> PrimResult:
     if held == 0:
         raise ValueError(f"I have no {item} to give")
     k = held if count < 0 else min(count, held)
-    travel = _walk(world, agent, recipient.position)
+    travel = _walk(world, agent, recipient.position.x, recipient.position.z)
     agent.inventory.remove(item, k)
     recipient.inventory.add(item, k)
     points = 0
@@ -416,7 +417,7 @@ def _prim_use_chest(world, config, agent, args) -> PrimResult:
     if cell is None or cell.kind != "chest" or pos not in world.containers:
         raise ValueError(f"There is no chest at ({x}, {z})")
     chest = world.containers[pos]
-    travel = _walk(world, agent, Position(x, 0, z))
+    travel = _walk(world, agent, x, z)
     ticks = travel + CHEST_TICKS
     if mode == "check":
         return _ok(world, agent, f"Checked chest at ({x}, {z})", ticks, value=chest.as_dict())
@@ -480,7 +481,7 @@ def _prim_transform_farm(world, config, agent, args) -> PrimResult:
     nearest = _nearest_cell(world, agent, source)
     if nearest is None:
         raise ValueError(f"No {source} cells to convert")
-    travel = _walk(world, agent, Position(*_xz(nearest)))
+    travel = _walk(world, agent, *nearest)
     converted = sabotage_transform(world, source, target, agent, needs_hoe=needs_hoe)
     return _ok(
         world, agent, f"Converted {converted} {source} into {target}",
@@ -519,10 +520,6 @@ def _free_cell_near(world: WorldState, x: int, z: int) -> Optional[tuple[int, in
                         continue
                     return (cx, cz)
     return None
-
-
-def _xz(pos: tuple[int, int]) -> tuple[int, int, int]:
-    return (pos[0], 0, pos[1])
 
 
 _HANDLERS = {

@@ -203,6 +203,17 @@ class Layout:
             for z in range(self.depth)
         }
 
+    @functools.cached_property
+    def positions(self) -> dict[tuple[int, int], Position]:
+        """The one ``Position(x, 0, z)`` of every in-bounds (x, z), built on
+        first use and shared by every world on this layout (``Position`` is
+        frozen)."""
+        return {
+            (x, z): Position(x, 0, z)
+            for x in range(self.width)
+            for z in range(self.depth)
+        }
+
 
 class WorldState:
     """The complete tick-indexed simulation state."""
@@ -421,8 +432,10 @@ class WorldState:
         agent = self.agent(agent_name)
         ax, az = agent.position.x, agent.position.z
         cells = self.cells
+        positions = self.layout.positions
+        # set_block takes any key, so an off-grid cell gets its own Position
         blocks = [
-            (cells[key].kind, Position(key[0], 0, key[1]))
+            (cells[key].kind, positions.get(key) or Position(key[0], 0, key[1]))
             for key in self.nearby_cell_keys(ax, az, radius)
         ]
         mobs = [(kind, round(d, 3)) for kind, d in self.nearby_mobs(ax, az, radius)]
@@ -495,6 +508,9 @@ def validate_layout(layout: Layout) -> None:
     for name, _team, pos in layout.agent_starts + layout.servers:
         if not (0 <= pos.x < layout.width and 0 <= pos.z < layout.depth):
             raise LayoutError(f"agent {name!r} starts out of bounds at {pos}")
+    for kind, pos in layout.mobs:
+        if not (0 <= pos.x < layout.width and 0 <= pos.z < layout.depth):
+            raise LayoutError(f"mob {kind!r} out of bounds at {pos}")
     seen: set[str] = set()
     for name, _, _ in layout.agent_starts + layout.servers:
         if name in seen:

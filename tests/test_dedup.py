@@ -4,15 +4,18 @@ The oracle below is the original implementation: at every position it
 tries each window length from 64 down to 1 on slices of line keys, one
 ``(sender, payload)`` unit per line.  The regex scan in
 ``tacticbench.agents.dedup`` must return the very same Event objects in the
-same order, also when a ``DedupMemo`` lets it reuse an earlier call's scan."""
+same order, also when a ``DedupMemo`` lets it reuse an earlier call's scan.
+The memo also relies on each match's start, ``end(1)`` and end, so those are
+pinned against the ``(.{1,64})\\1+`` pattern the scan used first."""
 from __future__ import annotations
 
+import re
 from random import Random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tacticbench.agents.dedup import MAX_WINDOW, DedupMemo, dedup_events
+from tacticbench.agents.dedup import _REPEAT, MAX_WINDOW, DedupMemo, dedup_events
 from tacticbench.world import Event
 
 
@@ -91,6 +94,41 @@ def random_log(rng: Random) -> list[Event]:
         else:
             add(chat(rng.choice(alphabet), sender=rng.choice(senders)))
     return events
+
+
+def random_ids(rng: Random) -> str:
+    """An encoded log: 1-13 ids, ``chr(10)`` always among them, with
+    pasted-back copies of the last 1-70 characters and repeated blocks of
+    63, 64 or 65 distinct ids, the windows either side of the cap."""
+    alphabet = ["\n"] + [chr(rng.randrange(200)) for _ in range(rng.randint(0, 12))]
+    text = ""
+    target = rng.randint(0, 400)
+    while len(text) < target:
+        roll = rng.random()
+        if text and roll < 0.15:
+            text += text[-rng.randint(1, 70):] * rng.randint(1, 3)
+        elif roll < 0.2:
+            block = "".join(rng.sample([chr(i) for i in range(200)], rng.choice([63, 64, 65])))
+            text += block * rng.randint(2, 3)
+        else:
+            text += rng.choice(alphabet)
+    return text
+
+
+_PLUS_REPEAT = re.compile(r"(.{1,%d})\1+" % MAX_WINDOW, re.DOTALL)
+
+
+def _spans(pattern: re.Pattern, text: str, pos: int) -> list[tuple[int, int, int]]:
+    return [(m.start(), m.end(1), m.end()) for m in pattern.finditer(text, pos)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_repeat_pattern_matches_the_plus_pattern(rng):
+    text = random_ids(rng)
+    pos = rng.randint(0, len(text))
+    for start in (0, pos):
+        assert _spans(_REPEAT, text, start) == _spans(_PLUS_REPEAT, text, start)
 
 
 @settings(max_examples=150, deadline=None)

@@ -7,6 +7,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -224,6 +225,47 @@ def test_calibration_cache_misses_after_a_script_edit(tmp_path, monkeypatch):
     calibrate_sigma("mushroom_war", "passive", 0, cache)
     assert len(played) == CALIBRATION_EPISODES
     assert len(json.loads(cache.read_text())) == 2
+
+
+def test_calibration_cache_misses_after_a_code_edit(tmp_path, monkeypatch):
+    cache = tmp_path / "calibration.json"
+    sigma = calibrate_sigma("mushroom_war", "passive", 0, cache)
+    played = []
+    real_run = bench.run_episode
+
+    def counting(*args, **kwargs):
+        played.append(1)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "run_episode", counting)
+    monkeypatch.setattr(bench, "_code_digest", lambda: "0" * 64)
+    assert calibrate_sigma("mushroom_war", "passive", 0, cache) == sigma
+    assert len(played) == CALIBRATION_EPISODES
+    assert len(json.loads(cache.read_text())) == 2
+
+
+def test_code_digest_covers_a_comment_in_a_copied_package(tmp_path):
+    # the key read from a package copied elsewhere is the in-tree one, and a
+    # comment appended to primitives.py changes it
+    code = (
+        "from tacticbench.bench import _calibration_key\n"
+        "from tacticbench.scenarios import get_scenario\n"
+        "print(_calibration_key(get_scenario('mushroom_war'), 'passive', 0))\n"
+    )
+    package = Path(bench.__file__).resolve().parent
+    keys = []
+    for name, edit in (("plain", ""), ("edited", "# edited\n")):
+        copy = tmp_path / name / "tacticbench"
+        shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        prim = copy / "primitives.py"
+        prim.write_text(prim.read_text() + edit)
+        env = {**os.environ, "PYTHONPATH": str(copy.parent)}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        keys.append(run.stdout.strip())
+    assert keys[0] == bench._calibration_key(get_scenario("mushroom_war"), "passive", 0)
+    assert keys[1] != keys[0]
+    assert keys[1].startswith("mushroom_war:passive:0:")
 
 
 def test_calibration_key_covers_the_rule_constants():

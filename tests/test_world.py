@@ -270,6 +270,9 @@ cells:
 """
     with pytest.raises(LayoutError):
         load_layout_text(bad)
+    # a walk to a mob stops next to it, so the mob must be on the grid too
+    with pytest.raises(LayoutError, match="mob 'pig' out of bounds"):
+        load_layout_text(bad.replace("cells:\n  - {kind: slime_block", "mobs:\n  - {kind: pig"))
 
 
 TINY_ENTRIES = {

@@ -53,8 +53,21 @@ class PrimitiveTable:
     def spec(self, name: str) -> PrimitiveSpec | None:
         return CATALOG.get(name)
 
-    def is_available(self, name: str) -> bool:
-        return name in self.available
+    def check(self, name: str, args: list) -> str | None:
+        """The first reason a call cannot run in this scenario (unknown
+        name, unavailable here, arity, argument kind), or None: the one
+        message both ``validate`` and ``primitives.execute`` report."""
+        spec = CATALOG.get(name)
+        if spec is None:
+            return f"Unknown primitive {name}"
+        if name not in self.available:
+            return f"Primitive {name} is not available in {self.scenario}"
+        if not (spec.min_args <= len(args) <= spec.max_args):
+            return f"{name} takes {spec.min_args}..{spec.max_args} args, got {len(args)}"
+        for arg, kind in zip(args, spec.arg_kinds):
+            if not isinstance(arg, str if kind == "str" else int):
+                return f"{name}: bad argument {arg!r}"
+        return None
 
 
 @dataclass(frozen=True)
@@ -76,39 +89,10 @@ def _walk_calls(statements: list[Statement]):
 
 
 def validate(program: ActionProgram, table: PrimitiveTable) -> list[ValidationIssue]:
-    """Static checks: known primitives, scenario availability, arity, arg kinds."""
+    """One issue per call that ``table.check`` rejects, in program order."""
     issues: list[ValidationIssue] = []
     for call in _walk_calls(program.statements):
-        spec = table.spec(call.name)
-        if spec is None:
-            issues.append(
-                ValidationIssue(f"unknown primitive {call.name!r}", call.line, call.col)
-            )
-            continue
-        if not table.is_available(call.name):
-            issues.append(
-                ValidationIssue(
-                    f"primitive {call.name!r} unavailable in scenario {table.scenario!r}",
-                    call.line,
-                    call.col,
-                )
-            )
-            continue
-        if not (spec.min_args <= len(call.args) <= spec.max_args):
-            issues.append(
-                ValidationIssue(
-                    f"{call.name} takes {spec.min_args}..{spec.max_args} args, got {len(call.args)}",
-                    call.line,
-                    call.col,
-                )
-            )
-            continue
-        for i, (arg, kind) in enumerate(zip(call.args, spec.arg_kinds)):
-            want = str if kind == "str" else int
-            if not isinstance(arg, want):
-                issues.append(
-                    ValidationIssue(
-                        f"{call.name} argument {i + 1} must be {kind}", call.line, call.col
-                    )
-                )
+        message = table.check(call.name, call.args)
+        if message is not None:
+            issues.append(ValidationIssue(message, call.line, call.col))
     return issues

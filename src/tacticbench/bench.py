@@ -31,19 +31,13 @@ from .agents import (
 from .metrics import MetricValues, MetricsReport, mean_values, metric_values, report_from_rows
 from .opponents import BuiltinTeamSystem, RandomTeamSystem, builtin, list_builtin, script_text
 from .runner import EpisodeResult, run_episode
-from .scenarios import SCENARIO_NAMES, ScenarioConfig, get_scenario
+from .scenarios import SCENARIO_NAMES, ScenarioConfig, check_keys, get_scenario
 from .systems import TeamSystem
 from .world import new_world
 
 CALIBRATION_EPISODES = 20
 DEFAULT_EPISODES = 5
 DEFAULT_REPEATS = 3
-
-
-def _check_keys(what: str, data: dict, cls: type) -> None:
-    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
-    if unknown:
-        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
 
 
 @dataclass
@@ -94,10 +88,10 @@ class RunConfig:
     def from_dict(cls, data: dict) -> "RunConfig":
         data = dict(data)
         client = data.pop("client", {})
-        _check_keys("run config", data, cls)
+        check_keys("run config", data, cls)
         if not isinstance(client, dict):
             raise ValueError(f"client must be a mapping, not {client!r}")
-        _check_keys("client", client, ClientConfig)
+        check_keys("client", client, ClientConfig)
         return cls(**data, client=ClientConfig(**client))
 
     @classmethod

@@ -22,7 +22,6 @@ from .actionlang import (
     ExecState,
     PrimitiveTable,
     parse_source,
-    validate,
 )
 from .scenarios import CROPS, DASH_AND_DINE, MUSHROOM_WAR
 from .systems import AgentView, ScenarioMetadata, ScriptTeam
@@ -319,9 +318,8 @@ def random_call(
         args = _random_args(rng, name, pools, (pos.x, pos.z))
         if args is None:
             continue
-        call = Call(name, args, 1, 1)
-        if not validate(ActionProgram([call]), table):
-            return call
+        if table.check(name, args) is None:
+            return Call(name, args, 1, 1)
     return None
 
 
@@ -390,7 +388,6 @@ class RandomTeamSystem(ScriptTeam):
 
     def __init__(self, seed: int = 0) -> None:
         super().__init__()
-        self.seed = seed
         self._rng = Random(seed)
         self._metadata: Optional[ScenarioMetadata] = None
 

@@ -29,8 +29,6 @@ FARM_TICKS_PER_CELL = 15
 # blocks that cannot be mined away
 UNMINABLE = {"chest", "furnace", "crafting_table", "air", "farmland"}
 
-TRANSFORM_NEEDS_HOE = {("sweet_berry_bush", "potatoes")}
-
 
 @dataclass
 class PrimResult:
@@ -56,22 +54,9 @@ def execute(
 ) -> PrimResult:
     """Execute one primitive; broadcasts the outcome as chat."""
     name = request.name
-    spec = config.primitive_table.spec(name)
-    if spec is None:
-        return _fail(world, agent, f"Unknown primitive {name}")
-    if not config.primitive_table.is_available(name):
-        return _fail(
-            world, agent, f"Primitive {name} is not available in {config.name}"
-        )
-    if not (spec.min_args <= len(request.args) <= spec.max_args):
-        return _fail(
-            world,
-            agent,
-            f"{name} takes {spec.min_args}..{spec.max_args} args, got {len(request.args)}",
-        )
-    for arg, kind in zip(request.args, spec.arg_kinds):
-        if not isinstance(arg, str if kind == "str" else int):
-            return _fail(world, agent, f"{name}: bad argument {arg!r}")
+    message = config.primitive_table.check(name, request.args)
+    if message is not None:
+        return _fail(world, agent, message)
     handler = _HANDLERS[name]
     try:
         return handler(world, config, agent, request.args)
@@ -98,13 +83,13 @@ def _ok(
 # -- movement helpers -------------------------------------------------------
 
 
-def _walk(world: WorldState, agent: AgentBody, x: int, z: int, reach: int = 1) -> int:
-    """Move the agent within ``reach`` of (x, z); returns travel ticks, one
+def _walk(world: WorldState, agent: AgentBody, x: int, z: int) -> int:
+    """Move the agent within one cell of (x, z); returns travel ticks, one
     per cell.  Agent and target are on the grid, so the cell it stops on is
     too."""
     ax, az = agent.position.x, agent.position.z
-    nx = x + max(-reach, min(reach, ax - x))
-    nz = z + max(-reach, min(reach, az - z))
+    nx = x + max(-1, min(1, ax - x))
+    nz = z + max(-1, min(1, az - z))
     travel = max(abs(ax - nx), abs(az - nz))
     agent.position = world.layout.positions[nx, nz]
     _pickup_ground_items(world, agent)
@@ -274,9 +259,8 @@ def _prim_smelt_item(world, config, agent, args) -> PrimResult:
     travel = _walk(world, agent, furnace.position.x, furnace.position.z)
     k = min(count, held)
     agent.inventory.remove(item, k)
-    start = world.tick + travel
     for i in range(1, k + 1):
-        ev = world.schedule_at(start + SMELT_TICKS * i, "smelt-complete", (agent.name, out_item))
+        ev = world.schedule("smelt-complete", (agent.name, out_item), travel + SMELT_TICKS * i)
         furnace.busy_until = ev.fire_tick
     furnace.queued += k
     return _ok(
@@ -477,12 +461,11 @@ def _prim_signal(world, config, agent, args) -> PrimResult:
 
 def _prim_transform_farm(world, config, agent, args) -> PrimResult:
     source, target = args[0], args[1]
-    needs_hoe = (source, target) in TRANSFORM_NEEDS_HOE
     nearest = _nearest_cell(world, agent, source)
     if nearest is None:
         raise ValueError(f"No {source} cells to convert")
     travel = _walk(world, agent, *nearest)
-    converted = sabotage_transform(world, source, target, agent, needs_hoe=needs_hoe)
+    converted = sabotage_transform(world, source, target, agent)
     return _ok(
         world, agent, f"Converted {converted} {source} into {target}",
         travel + FARM_TICKS_PER_CELL * converted, value=converted,

@@ -1,6 +1,11 @@
 """Scenario rulebooks: arena layouts, regrowth and yield rules, recipes,
 scoring, and sabotage transforms for the two built-in scenarios.
 
+One table, ``_SCENARIOS``, maps each scenario name to the factory of its
+default ``ScenarioConfig`` and to its rules class: ``get_scenario`` builds
+a config from it (overrides go through ``dataclasses.replace``, so
+``ScenarioConfig.__post_init__`` checks them) and ``make_rules`` the rules.
+
 Rule objects attach to a world as ``world.rules`` and receive hooks from the
 primitive engine (block removed/placed/regrown, crop advance, growth
 scheduling) so scenario behavior stays out of the simulation kernel.  The
@@ -11,9 +16,9 @@ only through ``WorldState.clear_block``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from random import Random
-from typing import Optional
+from typing import Callable, Optional
 
 from .actionlang.table import (
     DASH_AND_DINE_PRIMITIVES,
@@ -323,11 +328,12 @@ class MushroomWarRules(ScenarioRules):
 class DashAndDineRules(ScenarioRules):
     def __init__(self, config: ScenarioConfig) -> None:
         super().__init__(config)
-        self.crop_timers: dict[tuple[int, int], ScheduledEvent] = {}
+        # cells with a crop-advance timer queued; crop timers are never cancelled
+        self.growing: set[tuple[int, int]] = set()
 
     def setup(self, world: WorldState) -> None:
         super().setup(world)
-        self.crop_timers = {}
+        self.growing = set()
         for pos in sorted(world.cells):
             self.ensure_growth(world, pos)
 
@@ -338,14 +344,13 @@ class DashAndDineRules(ScenarioRules):
         crop = CROPS.get(cell.kind)
         if crop is None or cell.growth_stage >= crop.max_stage:
             return
-        if pos in self.crop_timers and not self.crop_timers[pos].cancelled:
+        if pos in self.growing:
             return
-        self.crop_timers[pos] = world.schedule(
-            "crop-advance", pos, ("geometric", self.config.regrow.crop_advance_p)
-        )
+        self.growing.add(pos)
+        world.schedule("crop-advance", pos, ("geometric", self.config.regrow.crop_advance_p))
 
     def on_crop_advance(self, world, pos, cell) -> None:
-        self.crop_timers.pop(pos, None)
+        self.growing.discard(pos)
         crop = CROPS.get(cell.kind)
         if crop is None:
             return
@@ -376,15 +381,18 @@ class DashAndDineRules(ScenarioRules):
         return self.award(world, server.team, points, agent.name, f"hand-in {count} {item}")
 
 
-def sabotage_transform(
-    world: WorldState, source: str, target: str, agent, needs_hoe: bool = False
-) -> int:
+# (source, target) crop conversions that need the agent to hold a hoe
+TRANSFORM_NEEDS_HOE = {("sweet_berry_bush", "potatoes")}
+
+
+def sabotage_transform(world: WorldState, source: str, target: str, agent) -> int:
     """Destroy every ``source`` crop cell and plant ``target`` in its place.
 
     Drops from the destruction enter the world as ground items at each cell.
     Returns the number of converted cells; raises ValueError when the agent
-    lacks a required hoe or there is nothing to convert.
+    lacks a hoe the conversion needs or there is nothing to convert.
     """
+    needs_hoe = (source, target) in TRANSFORM_NEEDS_HOE
     if needs_hoe and agent.inventory.count("hoe") == 0 and agent.equipment != "hoe":
         raise ValueError(f"converting {source} to {target} requires a hoe")
     src = CROPS.get(source)
@@ -406,21 +414,20 @@ def sabotage_transform(
     return converted
 
 
-# -- Config constructors ----------------------------------------------------
+# -- Scenario table ---------------------------------------------------------
 
 
-def mushroom_war_config(**overrides) -> ScenarioConfig:
-    cfg = ScenarioConfig(
+def _mushroom_war() -> ScenarioConfig:
+    return ScenarioConfig(
         name=MUSHROOM_WAR,
         layout=load_builtin_layout(MUSHROOM_WAR),
         primitive_table=PrimitiveTable(MUSHROOM_WAR, MUSHROOM_WAR_PRIMITIVES),
         report_scale=1.0,
     )
-    return _apply_overrides(cfg, overrides)
 
 
-def dash_and_dine_config(**overrides) -> ScenarioConfig:
-    cfg = ScenarioConfig(
+def _dash_and_dine() -> ScenarioConfig:
+    return ScenarioConfig(
         name=DASH_AND_DINE,
         layout=load_builtin_layout(DASH_AND_DINE),
         primitive_table=PrimitiveTable(DASH_AND_DINE, DASH_AND_DINE_PRIMITIVES),
@@ -429,29 +436,31 @@ def dash_and_dine_config(**overrides) -> ScenarioConfig:
         food_points=dict(DEFAULT_FOOD_POINTS),
         report_scale=0.1,
     )
-    return _apply_overrides(cfg, overrides)
 
 
-def _apply_overrides(cfg: ScenarioConfig, overrides: dict) -> ScenarioConfig:
-    for key, value in overrides.items():
-        if not hasattr(cfg, key):
-            raise ValueError(f"unknown scenario config key {key!r}")
-        setattr(cfg, key, value)
-    cfg.__post_init__()  # re-check value constraints after overrides
-    return cfg
+# scenario name -> (default config factory, rules class)
+_SCENARIOS: dict[str, tuple[Callable[[], ScenarioConfig], type[ScenarioRules]]] = {
+    MUSHROOM_WAR: (_mushroom_war, MushroomWarRules),
+    DASH_AND_DINE: (_dash_and_dine, DashAndDineRules),
+}
+
+
+def check_keys(what: str, data: dict, cls: type) -> None:
+    """Raise ValueError if ``data`` has a key that is not a field of the
+    dataclass ``cls``."""
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
 
 
 def get_scenario(name: str, **overrides) -> ScenarioConfig:
-    if name == MUSHROOM_WAR:
-        return mushroom_war_config(**overrides)
-    if name == DASH_AND_DINE:
-        return dash_and_dine_config(**overrides)
-    raise ValueError(f"unknown scenario {name!r}")
+    """The default config of scenario ``name`` with ``overrides`` replacing
+    its fields (``__post_init__`` checks the result)."""
+    if name not in _SCENARIOS:
+        raise ValueError(f"unknown scenario {name!r}")
+    check_keys("scenario config", overrides, ScenarioConfig)
+    return replace(_SCENARIOS[name][0](), **overrides)
 
 
 def make_rules(config: ScenarioConfig) -> ScenarioRules:
-    if config.name == MUSHROOM_WAR:
-        return MushroomWarRules(config)
-    if config.name == DASH_AND_DINE:
-        return DashAndDineRules(config)
-    return ScenarioRules(config)
+    return _SCENARIOS[config.name][1](config)

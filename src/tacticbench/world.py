@@ -224,7 +224,6 @@ class WorldState:
         self.tick: int = 0
         self.duration: int = DEFAULT_EPISODE_TICKS
         self.rng = Random(seed)
-        self.seed = seed
         self._owners = layout.owners
         self.cells: dict[tuple[int, int], BlockCell] = {}
         # kind -> owning area -> positions, no group empty; kept by set_block
@@ -258,12 +257,8 @@ class WorldState:
                 return a
         raise ReferenceError_(f"unknown agent {name!r}")
 
-    def team_agents(self, team: str, include_servers: bool = False) -> list[AgentBody]:
-        return [
-            a
-            for a in self.agents
-            if a.team == team and (include_servers or not a.stationary)
-        ]
+    def team_agents(self, team: str) -> list[AgentBody]:
+        return [a for a in self.agents if a.team == team and not a.stationary]
 
     # -- cells ----------------------------------------------------------
 
@@ -277,8 +272,13 @@ class WorldState:
     def set_block(self, pos: tuple[int, int], kind: str) -> None:
         """Make the cell at ``pos`` a ``kind`` block at growth stage 0.  The
         one way a cell is created or changes kind; replacing a cell keeps its
-        place in the cell order."""
-        owner = self._owners.get(pos, NEUTRAL)
+        place in the cell order.  Raises ``WorldError`` for a ``pos`` off
+        the grid, so every cell has an owner and a ``Layout.positions``
+        entry."""
+        try:
+            owner = self._owners[pos]
+        except KeyError:
+            raise WorldError(f"cell {pos} is off the grid") from None
         old = self.cells.get(pos)
         if old is not None:
             self._unindex(pos, old.kind, owner)
@@ -289,7 +289,7 @@ class WorldState:
         """Delete the cell at ``pos``, if there is one."""
         old = self.cells.pop(pos, None)
         if old is not None:
-            self._unindex(pos, old.kind, self.area_of(*pos))
+            self._unindex(pos, old.kind, self._owners[pos])
 
     def _unindex(self, pos: tuple[int, int], kind: str, owner: str) -> None:
         owners = self.cell_index[kind]
@@ -331,15 +331,6 @@ class WorldState:
         self._timer_seq = seq + 1
         ev = ScheduledEvent(self.tick + ticks, effect, target, seq)
         heappush(self._timer_heap, (ev.fire_tick, seq, ev))
-        return ev
-
-    def schedule_at(self, fire_tick: int, effect: str, target: Any) -> ScheduledEvent:
-        """Enqueue a delayed effect at an absolute tick (must be in the future)."""
-        if fire_tick <= self.tick:
-            fire_tick = self.tick + 1
-        ev = ScheduledEvent(fire_tick=fire_tick, effect=effect, target=target, seq=self._timer_seq)
-        self._timer_seq += 1
-        heappush(self._timer_heap, (ev.fire_tick, ev.seq, ev))
         return ev
 
     def cancel(self, ev: ScheduledEvent) -> None:
@@ -386,13 +377,8 @@ class WorldState:
                 self.rules.on_crop_advance(self, pos, cell)
         elif ev.effect == "smelt-complete":
             agent_name, out_item = ev.target
-            try:
-                agent = self.agent(agent_name)
-            except ReferenceError_:
-                agent = None
-            if agent is not None:
-                agent.inventory.add(out_item, 1)
-                self.broadcast("environment", f"Smelting finished: 1 {out_item} for {agent_name}")
+            self.agent(agent_name).inventory.add(out_item, 1)
+            self.broadcast("environment", f"Smelting finished: 1 {out_item} for {agent_name}")
         elif ev.effect == "mob-respawn":
             mob = ev.target
             mob.alive = True
@@ -433,10 +419,8 @@ class WorldState:
         ax, az = agent.position.x, agent.position.z
         cells = self.cells
         positions = self.layout.positions
-        # set_block takes any key, so an off-grid cell gets its own Position
         blocks = [
-            (cells[key].kind, positions.get(key) or Position(key[0], 0, key[1]))
-            for key in self.nearby_cell_keys(ax, az, radius)
+            (cells[key].kind, positions[key]) for key in self.nearby_cell_keys(ax, az, radius)
         ]
         mobs = [(kind, round(d, 3)) for kind, d in self.nearby_mobs(ax, az, radius)]
         velocity = (0, 0, 0)

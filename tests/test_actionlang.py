@@ -192,7 +192,7 @@ def test_fuzzed_text_never_crashes(source):
 
 def test_validate_rejects_unknown_primitive():
     issues = validate(parse_source('dance("fast", 1)\n'), MW_TABLE)
-    assert issues and "unknown" in issues[0].message
+    assert issues and "Unknown primitive" in issues[0].message
 
 
 def test_validate_rejects_unavailable_primitive_per_scenario():

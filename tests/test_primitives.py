@@ -1,15 +1,21 @@
 """Per-primitive semantics: costs, failures, side effects."""
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tacticbench.actionlang import ActionProgram, Call, validate
 from tacticbench.actionlang.interp import PrimitiveRequest
+from tacticbench.actionlang.table import CATALOG
 from tacticbench.primitives import (
+    _HANDLERS,
     FAIL_TICKS,
     MINE_TICKS_PER_BLOCK,
     SEARCH_RADIUS,
+    PrimResult,
     _nearest_cell,
     _pickup_ground_items,
     execute,
@@ -395,6 +401,52 @@ def test_every_failure_costs_at_least_one_tick():
     world, config, _ = make_world("mushroom_war")
     res = run(world, config, "Ryn", req("mineBlock", "slime_block", 0))
     assert not res.ok and res.duration >= 1
+
+
+# -- the one call check -------------------------------------------------------
+
+
+ARG_VALUES = {"str": st.text(max_size=6), "int": st.integers(-3, 12)}
+
+
+@st.composite
+def calls(draw):
+    """A catalog or unknown name with 0-6 str/int/bool args; for a catalog
+    name, half the time args of the kinds it takes, so both outcomes of the
+    check occur often."""
+    name = draw(st.sampled_from(sorted(CATALOG) + ["teleport", "minEblock", ""]))
+    spec = CATALOG.get(name)
+    if spec is not None and draw(st.booleans()):
+        kinds = spec.arg_kinds[: draw(st.integers(spec.min_args, spec.max_args))]
+        return name, [draw(ARG_VALUES[kind]) for kind in kinds]
+    any_arg = st.one_of(ARG_VALUES["str"], ARG_VALUES["int"], st.booleans())
+    return name, draw(st.lists(any_arg, max_size=6))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(["mushroom_war", "dash_and_dine"]), calls())
+def test_validate_and_execute_apply_one_call_check(scenario, call):
+    name, args = call
+    world, config, _ = make_world(scenario)
+    agent = world.agent("Ryn")
+    position, inventory = agent.position, agent.inventory.copy()
+    issues = validate(ActionProgram([Call(name, args, 3, 5)]), config.primitive_table)
+    reached = []
+
+    def handler(world, config, agent, args):
+        reached.append(args)
+        return PrimResult(ok=True, message="reached", duration=1)
+
+    with mock.patch.dict(_HANDLERS, dict.fromkeys(_HANDLERS, handler)):
+        res = execute(world, config, agent, req(name, *args))
+    if issues:
+        assert len(issues) == 1 and (issues[0].line, issues[0].col) == (3, 5)
+        assert not reached
+        assert (res.ok, res.message, res.duration) == (False, issues[0].message, FAIL_TICKS)
+        assert world.chat_log[-1].payload == issues[0].message
+        assert agent.position == position and agent.inventory == inventory
+    else:
+        assert reached == [args] and res.message == "reached"
 
 
 # -- nearest-cell search -------------------------------------------------------

@@ -190,14 +190,16 @@ def oracle_observe(world, agent_name: str, radius: int = 8):
 def edited_worlds(draw):
     """A builtin world with cells set to air, deleted or placed (placed keys
     land at the end of the cell dict, out of sorted order), some mobs dead,
-    and every agent moved, sometimes off the grid."""
+    and every agent moved, sometimes off the grid.  Cells are on the grid
+    only, as ``set_block`` requires."""
     world = new_world(load_builtin_layout(draw(st.sampled_from(["mushroom_war", "dash_and_dine"]))), 0)
     width, depth = world.layout.width, world.layout.depth
     x = st.integers(-3, width + 2)
     z = st.integers(-3, depth + 2)
+    cell = st.tuples(st.integers(0, width - 1), st.integers(0, depth - 1))
     kinds = st.sampled_from(["slime_block", "red_mushroom_block", "wheat", "chest", "farmland"])
     for op, key, kind in draw(st.lists(
-        st.tuples(st.sampled_from(["air", "delete", "place"]), st.tuples(x, z), kinds), max_size=60
+        st.tuples(st.sampled_from(["air", "delete", "place"]), cell, kinds), max_size=60
     )):
         if op == "place":
             world.set_block(key, kind)
@@ -221,6 +223,14 @@ def test_observe_matches_sort_every_cell_oracle(world, radius):
         assert obs.nearby_blocks == blocks
         assert all(type(pos) is Position for _, pos in obs.nearby_blocks)
         assert obs.nearby_mobs == mobs
+
+
+@pytest.mark.parametrize("key", [(-1, 0), (0, -1), (99, 0), (0, 99)])
+def test_set_block_rejects_a_cell_off_the_grid(mw_world, key):
+    before = mw_world.state_hash()
+    with pytest.raises(WorldError, match="off the grid"):
+        mw_world.set_block(key, "slime_block")
+    assert mw_world.state_hash() == before and key not in mw_world.cells
 
 
 def test_next_timer_tick_and_skip_idle(mw_world):

@@ -303,7 +303,7 @@ class _BaseAgent:
         self.benched = False
         self.critique = ""
         self.compact: list[Event] = []  # its deduplicated lines at the last regeneration
-        self.dedup_memo = DedupMemo()  # lets each regeneration rescan only the log's new tail
+        self.dedup_memo = DedupMemo()  # lets each regeneration redo only what new lines change
 
 
 class TactiCrafterSystem(ScriptTeam):

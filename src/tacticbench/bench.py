@@ -36,6 +36,8 @@ from .systems import TeamSystem
 from .world import new_world
 
 CALIBRATION_EPISODES = 20
+# Every run into one output directory looks its sigmas up here.
+CALIBRATION_CACHE = "calibration_cache.json"
 DEFAULT_EPISODES = 5
 DEFAULT_REPEATS = 3
 
@@ -317,11 +319,15 @@ def run_benchmark(config: RunConfig, folder_name: Optional[str] = None) -> Bench
     rows: list[dict] = []
     failed: list[str] = []
     sigmas: dict[tuple[str, str], float] = {}
-    calibration_path = folder.path / "calibration.json"
+    used: dict[str, float] = {}  # this folder's calibration.json
+    cache = Path(config.output_dir) / CALIBRATION_CACHE
     for scenario in config.scenarios:
         scenario_config = get_scenario(scenario)
         for opponent in config.opponents_for(scenario):
-            sigmas[scenario, opponent] = calibrate_sigma(scenario, opponent, config.seed, calibration_path)
+            sigma = calibrate_sigma(scenario, opponent, config.seed, cache)
+            sigmas[scenario, opponent] = sigma
+            used[_calibration_key(scenario_config, opponent, config.seed)] = sigma
+            folder.write_json("calibration.json", used)
             try:
                 for repeat in range(config.repeats):
                     for episode, red, result in play_repeat(config, scenario_config, opponent, repeat):

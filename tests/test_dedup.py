@@ -6,16 +6,29 @@ tries each window length from 64 down to 1 on slices of line keys, one
 ``tacticbench.agents.dedup`` must return the very same Event objects in the
 same order, also when a ``DedupMemo`` lets it reuse an earlier call's scan.
 The memo also relies on each match's start, ``end(1)`` and end, so those are
-pinned against the ``(.{1,64})\\1+`` pattern the scan used first."""
+pinned against the ``(.{1,64})\\1+`` pattern the scan used first.
+
+A memo call replays the old scan's decisions and hands over to the regex
+at the first one that the new lines can change.  Logs that grow a few lines
+at a time, and by tails longer than the 128-line lookback, are checked call
+by call against the oracle; one small log per way out of that replay checks
+the memo's whole state against a fresh call's."""
 from __future__ import annotations
 
+import operator
 import re
 from random import Random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tacticbench.agents.tacticrafter as tacticrafter
+from tacticbench.agents import TactiCrafterSystem, make_mock_client
 from tacticbench.agents.dedup import _REPEAT, MAX_WINDOW, DedupMemo, dedup_events
+from tacticbench.bench import episode_seed, run_episode
+from tacticbench.opponents import BuiltinTeamSystem, builtin
+from tacticbench.scenarios import get_scenario
 from tacticbench.world import Event
 
 
@@ -94,6 +107,23 @@ def random_log(rng: Random) -> list[Event]:
         else:
             add(chat(rng.choice(alphabet), sender=rng.choice(senders)))
     return events
+
+
+def few_ids_log(rng: Random) -> list[Event]:
+    """Up to ~250 lines over 1-3 messages from one sender: short loops,
+    runs of one line and pasted-back blocks, so later passes have repeats."""
+    alphabet = [f"m{i}" for i in range(rng.randint(1, 3))]
+    text: list[str] = []
+    target = rng.randint(0, 250)
+    while len(text) < target:
+        roll = rng.random()
+        if text and roll < 0.2:
+            text += text[-rng.randint(1, 40):] * rng.randint(1, 3)
+        elif roll < 0.3:
+            text += [rng.choice(alphabet)] * rng.randint(2, 6)
+        else:
+            text.append(rng.choice(alphabet))
+    return [chat(m, tick=t) for t, m in enumerate(text)]
 
 
 def random_ids(rng: Random) -> str:
@@ -190,3 +220,98 @@ def test_same_text_from_interleaved_senders_is_two_lines():
     assert out == events[:2]
     assert_same_events(events)
     assert_same_events(events + [chat("a", tick=6, sender="B")])
+
+
+def _state(memo: DedupMemo) -> list:
+    return [(p.n, p.marks, p.reach, p.out_text, p.out_src) for p in memo.passes]
+
+
+# 120 lines that never repeat: behind them a replay lists the repeats that
+# the new lines add; with no lines before it, it rescans from the start.
+DISTINCT = [f"d{i}" for i in range(120)]
+
+
+def assert_memo_state_is_fresh(lines: str, splits=None) -> None:
+    """For every split of ``lines`` (one line per character; or for each
+    of ``splits``), with and without ``DISTINCT`` before them, a memo handed
+    the lines before the split and then all of them returns the oracle's
+    lines and holds exactly what a fresh call's memo does."""
+    for before in ([], DISTINCT):
+        events = [chat(m, tick=t) for t, m in enumerate(before + list(lines))]
+        fresh = DedupMemo()
+        want = dedup_events(events, fresh)
+        assert want == oracle_dedup(events)
+        for old in range(len(lines)) if splits is None else splits:
+            memo = DedupMemo()
+            dedup_events(events[: len(before) + old], memo)
+            got = dedup_events(events, memo)
+            assert len(got) == len(want) and all(map(operator.is_, got, want))
+            assert _state(memo) == _state(fresh)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_memo_matches_the_oracle_as_a_log_grows_a_few_lines_or_a_long_tail(rng):
+    events = few_ids_log(rng) if rng.random() < 0.5 else random_log(rng)[:250]
+    steps = [1, 2, 3, 4, 5] if rng.random() < 0.7 else [1, 3, 129, 140, 200]
+    memo = DedupMemo()
+    n = 0
+    while n < len(events):
+        n = min(len(events), n + rng.choice(steps))
+        assert_same_events(events[:n], memo)
+
+
+# Small logs that leave the replay through each of its ways out, the last
+# line of each making the change.
+REPLAY_EXITS = {
+    # "bccb" has misses at 0 and 3; the fifth line makes "b" repeat at 3
+    "an old miss that now repeats": ["bccbb", "abcbbbb"],
+    # "aa" at 3 repeated once; the ninth line makes "aab" repeat there
+    "an old match that takes a wider window": ["accaabaab"],
+    # "b" at 2 ended at 4; the new line is one more copy
+    "an old match whose copies run past the old end": ["babbb", "babbbbb", "ab" * 10],
+    # the first pass's output changes where an old second-pass window's copy lay
+    "a second pass whose window crossed the agreed prefix": ["bbabab"],
+    # the first pass's new output ends a second-pass run of copies sooner
+    "a second pass whose copies now end earlier": ["abbbabaaba"],
+}
+
+
+@pytest.mark.parametrize("way_out", sorted(REPLAY_EXITS))
+def test_replay_exit_leaves_the_memo_as_a_fresh_call_does(way_out):
+    for lines in REPLAY_EXITS[way_out]:
+        assert_memo_state_is_fresh(lines)
+
+
+def test_a_tail_longer_than_the_lookback_is_rescanned_by_the_regex():
+    lines = "abcab" * 30 + "".join("abc"[i * i % 7 % 3] for i in range(200))
+    assert_memo_state_is_fresh(lines, splits=(0, 1, 20, 120, 149, 150, 151, 200))
+
+
+LONG_HISTORY = (("mushroom_war", "slimy"), ("dash_and_dine", "cake_beetroot"))
+
+
+def test_every_memo_call_of_a_long_history_returns_a_fresh_calls_events(monkeypatch):
+    """TactiCrafter on the mock client keeps one system for 2 episodes vs
+    slimy and vs cake_beetroot at run seed 0; every regeneration's memo call
+    returns the very Event objects of a fresh call."""
+    calls = []
+
+    def checked(events, memo=None):
+        out = dedup_events(events, memo)
+        if memo is not None:
+            fresh = dedup_events(events)
+            assert len(out) == len(fresh) and all(map(operator.is_, out, fresh))
+            calls.append(len(events))
+        return out
+
+    monkeypatch.setattr(tacticrafter, "dedup_events", checked)
+    for scenario, opponent in LONG_HISTORY:
+        config = get_scenario(scenario)
+        systems = {
+            "red": TactiCrafterSystem(make_mock_client()),
+            "blue": BuiltinTeamSystem(builtin(opponent, scenario)),
+        }
+        for episode in range(2):
+            run_episode(config, systems, episode_seed(0, scenario, f"long:{opponent}", 0, episode))
+    assert len(calls) == 876 and max(calls) > 2 * MAX_WINDOW

@@ -439,6 +439,32 @@ TIMELINE_PINS = {
 }
 
 
+def test_a_second_run_into_one_output_dir_plays_no_calibration_episode(tmp_path, monkeypatch):
+    config = RunConfig(scenarios=["mushroom_war"], opponents=["passive", "do_nothing"], episodes=1,
+                       repeats=1, seed=4, red_system="builtin:do_nothing", output_dir=str(tmp_path))
+    first = run_benchmark(config, folder_name="first")
+    played = []
+    real = bench.run_episode
+
+    def counted(scenario_config, systems, seed):
+        played.append(seed)
+        return real(scenario_config, systems, seed)
+
+    monkeypatch.setattr(bench, "run_episode", counted)
+    second = run_benchmark(config, folder_name="second")
+    assert played == [episode_seed(4, "mushroom_war", o, 0, 0) for o in ("passive", "do_nothing")]
+    calibration = (first.run_dir / "calibration.json").read_bytes()
+    assert (second.run_dir / "calibration.json").read_bytes() == calibration
+    assert second.report == first.report
+    # a folder's calibration.json holds only the entries its own run used
+    config.opponents = ["passive"]
+    third = run_benchmark(config, folder_name="third")
+    used = json.loads((third.run_dir / "calibration.json").read_text())
+    assert [k.split(":")[:2] for k in used] == [["mushroom_war", "passive"]]
+    assert used.items() <= json.loads(calibration).items()
+    assert len(json.loads((tmp_path / bench.CALIBRATION_CACHE).read_text())) == 2
+
+
 @pytest.mark.parametrize("case", sorted(TIMELINE_PINS))
 def test_timeline_csv_matches_its_pin(tmp_path, case):
     # "balanced" has 10 series per opponent, "one-series" a band of width 0

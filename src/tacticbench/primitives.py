@@ -88,12 +88,16 @@ def _walk(world: WorldState, agent: AgentBody, x: int, z: int) -> int:
     per cell.  Agent and target are on the grid, so the cell it stops on is
     too."""
     ax, az = agent.position.x, agent.position.z
-    nx = x + max(-1, min(1, ax - x))
-    nz = z + max(-1, min(1, az - z))
-    travel = max(abs(ax - nx), abs(az - nz))
+    # max(-1, min(1, ...)) and max(abs(), abs()) spelt out: builtin calls
+    # cost more than the walk
+    nx = x + 1 if ax > x else x - 1 if ax < x else x
+    nz = z + 1 if az > z else z - 1 if az < z else z
+    dx = ax - nx if ax >= nx else nx - ax
+    dz = az - nz if az >= nz else nz - az
     agent.position = world.layout.positions[nx, nz]
-    _pickup_ground_items(world, agent)
-    return travel
+    if world.ground_items:
+        _pickup_ground_items(world, agent)
+    return dx if dx >= dz else dz
 
 
 def _pickup_ground_items(world: WorldState, agent: AgentBody) -> None:

@@ -126,12 +126,14 @@ def run_episode(
 
     The clock visits only the ticks at which a timer fires or an agent is
     due (``next_due``), and skips the ticks between them: nothing happens
-    on those.  After serving at a tick the runner steps through the timer
-    ticks before the next due tick without polling anyone.  That is exact
-    because only serving changes an agent's ``busy_until``, ``waiting_for``
-    or ``wait_deadline`` (a signal wakes its target inside ``execute``),
-    and no timer effect (regrow-block, crop-advance, smelt-complete,
-    mob-respawn) touches them, so no agent comes due on those ticks.
+    on those.  After serving at a tick the runner calls
+    ``WorldState.advance_to`` with the next due tick, which enters each
+    timer tick before it, and then the due tick, through ``step_tick``,
+    without polling anyone.  That is exact because only serving changes an
+    agent's ``busy_until``, ``waiting_for`` or ``wait_deadline`` (a signal
+    wakes its target inside ``execute``), and no timer effect
+    (regrow-block, crop-advance, smelt-complete, mob-respawn) touches
+    them, so no agent comes due on those ticks.
 
     Each poll hands the agent, as ``view.new_events``, the lines of
     ``world.chat_log`` broadcast since its previous poll: chat only.  So
@@ -217,17 +219,7 @@ def run_episode(
                 systems[agent.team].on_result(agent.name, outcome)
             except Exception as exc:
                 sideline(agent, exc)
-        due = next_due(world, movers)
-        while True:
-            top = world.next_timer_tick()
-            if top is None or top >= due:
-                break
-            if top > world.tick + 1:
-                world.skip_idle(top)
-            world.step_tick()
-        if due > world.tick + 1:
-            world.skip_idle(due)
-        world.step_tick()
+        world.advance_to(next_due(world, movers))
 
     raw = {team: rules.scores[team].points for team in rules.scores}
     teams = sorted(raw)

@@ -330,6 +330,7 @@ class DashAndDineRules(ScenarioRules):
         super().__init__(config)
         # cells with a crop-advance timer queued; crop timers are never cancelled
         self.growing: set[tuple[int, int]] = set()
+        self._growth_delay = ("geometric", config.regrow.crop_advance_p)
 
     def setup(self, world: WorldState) -> None:
         super().setup(world)
@@ -347,17 +348,19 @@ class DashAndDineRules(ScenarioRules):
         if pos in self.growing:
             return
         self.growing.add(pos)
-        world.schedule("crop-advance", pos, ("geometric", self.config.regrow.crop_advance_p))
+        world.schedule("crop-advance", pos, self._growth_delay)
 
     def on_crop_advance(self, world, pos, cell) -> None:
-        self.growing.discard(pos)
+        # the cell's timer just fired; a crop still short of its last stage
+        # queues the next one and stays in ``growing``, as ``ensure_growth``
+        # would put it back there
         crop = CROPS.get(cell.kind)
-        if crop is None:
-            return
-        if cell.growth_stage < crop.max_stage:
+        if crop is not None and cell.growth_stage < crop.max_stage:
             cell.growth_stage += 1
-        if cell.growth_stage < crop.max_stage:
-            self.ensure_growth(world, pos)
+            if cell.growth_stage < crop.max_stage:
+                world.schedule("crop-advance", pos, self._growth_delay)
+                return
+        self.growing.discard(pos)
 
     def mine_drops(self, world, pos, kind, agent) -> dict[str, int]:
         crop = CROPS.get(kind)

@@ -246,6 +246,8 @@ class WorldState:
         self.chat_log: list[Event] = []
         self._timer_heap: list[tuple[int, int, ScheduledEvent]] = []
         self._timer_seq = 0
+        # p -> math.log(1.0 - p), the divisor of a ("geometric", p) delay draw
+        self._log_miss: dict[float, float] = {}
         # scenario rulebook hooks, attached by the scenarios module
         self.rules: Any = None
 
@@ -283,7 +285,16 @@ class WorldState:
         if old is not None:
             self._unindex(pos, old.kind, owner)
         self.cells[pos] = BlockCell(kind)
-        self.cell_index.setdefault(kind, {}).setdefault(owner, set()).add(pos)
+        # setdefault spelt out: it would build an empty dict and set per call
+        owners = self.cell_index.get(kind)
+        if owners is None:
+            self.cell_index[kind] = {owner: {pos}}
+        else:
+            group = owners.get(owner)
+            if group is None:
+                owners[owner] = {pos}
+            else:
+                group.add(pos)
 
     def clear_block(self, pos: tuple[int, int]) -> None:
         """Delete the cell at ``pos``, if there is one."""
@@ -321,7 +332,10 @@ class WorldState:
         elif delay[0] == "geometric":
             p = delay[1]
             u = self.rng.random()
-            ticks = 1 + int(math.log(max(1.0 - u, 1e-12)) / math.log(1.0 - p))
+            log_miss = self._log_miss.get(p)
+            if log_miss is None:
+                log_miss = self._log_miss[p] = math.log(1.0 - p)
+            ticks = 1 + int(math.log(max(1.0 - u, 1e-12)) / log_miss)
         else:
             lo, hi = delay
             ticks = self.rng.randint(lo, hi)
@@ -339,19 +353,22 @@ class WorldState:
     def pending_timers(self) -> list[ScheduledEvent]:
         return [ev for _, _, ev in self._timer_heap if not ev.cancelled]
 
-    def next_timer_tick(self) -> Optional[int]:
-        """Fire tick of the earliest queued timer (possibly a cancelled one),
-        or None when the queue is empty.  No timer is due before it."""
-        return self._timer_heap[0][0] if self._timer_heap else None
-
-    def skip_idle(self, until: int) -> None:
-        """Move the clock to ``until - 1`` so the next ``step_tick`` enters
-        ``until``.  Only valid when no timer is due before ``until``: the
-        skipped ticks would draw nothing from the rng and change nothing."""
-        top = self.next_timer_tick()
-        if until <= self.tick or (top is not None and top < until):
-            raise WorldError(f"cannot skip from tick {self.tick} to {until} (next timer {top})")
+    def advance_to(self, until: int) -> None:
+        """Move the clock to ``until``, entering through ``step_tick`` each
+        tick before it at which a queued timer (possibly a cancelled one)
+        fires, then ``until`` itself.  The ticks in between are skipped: no
+        timer fires on them, so they would draw nothing from the rng and
+        change nothing.  Raises ``WorldError`` unless ``until`` is after the
+        current tick."""
+        if until <= self.tick:
+            raise WorldError(f"cannot advance from tick {self.tick} to {until}")
+        heap = self._timer_heap
+        while heap and heap[0][0] < until:
+            # every queued timer fires after the current tick
+            self.tick = heap[0][0] - 1
+            self.step_tick()
         self.tick = until - 1
+        self.step_tick()
 
     def step_tick(self) -> None:
         """Advance one tick and apply every timer due at the new tick."""
@@ -363,23 +380,25 @@ class WorldState:
                 self._apply_effect(ev)
 
     def _apply_effect(self, ev: ScheduledEvent) -> None:
-        if ev.effect == "regrow-block":
+        # crop-advance first: in Dash & Dine it is most of the effects
+        effect = ev.effect
+        if effect == "crop-advance":
+            pos = ev.target
+            cell = self.cells.get(pos)
+            if cell is not None and self.rules is not None:
+                self.rules.on_crop_advance(self, pos, cell)
+        elif effect == "regrow-block":
             pos, kind = ev.target
             cell = self.cells.get(pos)
             if cell is not None and cell.kind == "air":
                 self.set_block(pos, kind)
                 if self.rules is not None:
                     self.rules.on_block_regrown(self, pos, kind)
-        elif ev.effect == "crop-advance":
-            pos = ev.target
-            cell = self.cells.get(pos)
-            if cell is not None and self.rules is not None:
-                self.rules.on_crop_advance(self, pos, cell)
-        elif ev.effect == "smelt-complete":
+        elif effect == "smelt-complete":
             agent_name, out_item = ev.target
             self.agent(agent_name).inventory.add(out_item, 1)
             self.broadcast("environment", f"Smelting finished: 1 {out_item} for {agent_name}")
-        elif ev.effect == "mob-respawn":
+        elif effect == "mob-respawn":
             mob = ev.target
             mob.alive = True
         else:

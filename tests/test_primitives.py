@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from tacticbench.actionlang import ActionProgram, Call, validate
 from tacticbench.actionlang.interp import PrimitiveRequest
 from tacticbench.actionlang.table import CATALOG
+from tacticbench.layout import load_layout_text
 from tacticbench.primitives import (
     _HANDLERS,
     FAIL_TICKS,
@@ -18,6 +19,7 @@ from tacticbench.primitives import (
     PrimResult,
     _nearest_cell,
     _pickup_ground_items,
+    _walk,
     execute,
 )
 from tacticbench.scenarios import SMELT_TICKS, get_scenario, make_rules
@@ -545,3 +547,51 @@ def test_ground_stacks_in_reach_are_picked_up_in_ground_item_order():
     agent.position = Position(11, 0, 4)
     _pickup_ground_items(world, agent)
     assert agent.inventory.count("egg") == 1 and not world.ground_items
+
+
+def oracle_walk(world, agent, x: int, z: int) -> int:
+    """``_walk`` as it was with builtin calls: clamp each axis with
+    ``max(-1, min(1, ...))``, travel as a ``max`` of ``abs``, and pick up
+    ground items after every walk."""
+    ax, az = agent.position.x, agent.position.z
+    nx = x + max(-1, min(1, ax - x))
+    nz = z + max(-1, min(1, az - z))
+    travel = max(abs(ax - nx), abs(az - nz))
+    agent.position = world.layout.positions[nx, nz]
+    _pickup_ground_items(world, agent)
+    return travel
+
+
+WALK_GRID = """schema_version: 1
+name: walk
+width: 7
+depth: 5
+areas: {red: [0, 0, 2, 4], blue: [4, 0, 6, 4]}
+agents: [{name: A, team: red, start: [0, 0]}]"""
+# dropped out of (x, z) order, so the pickup order is the ground-item
+# order; a stop at (1, 1) reaches two stacks
+WALK_GROUND = {(5, 1): {"wheat": 1}, (1, 2): {"beetroot": 1, "egg": 1}, (0, 0): {"egg": 2},
+               (6, 4): {"carrot": 1}}
+
+
+@pytest.mark.parametrize("ground", [{}, WALK_GROUND])
+def test_walk_matches_the_builtin_call_formula_on_every_pair(ground):
+    world = new_world(load_layout_text(WALK_GRID), 0)
+    agent = world.agent("A")
+    cells = list(world.layout.positions)
+    picked = 0
+
+    def walk(how, start, target):
+        agent.position = world.layout.positions[start]
+        agent.inventory = Inventory()
+        world.ground_items = {pos: Inventory(stacks) for pos, stacks in ground.items()}
+        travel = how(world, agent, *target)
+        return agent.position, travel, list(agent.inventory.items()), list(world.ground_items)
+
+    for start in cells:
+        for target in cells:
+            got = walk(_walk, start, target)
+            assert got == walk(oracle_walk, start, target), (start, target)
+            picked += bool(got[2])
+    if ground:
+        assert 0 < picked < len(cells) ** 2

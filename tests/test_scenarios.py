@@ -8,10 +8,12 @@ import pytest
 from tacticbench.actionlang.interp import PrimitiveRequest
 from tacticbench.primitives import execute
 from tacticbench.scenarios import (
+    CROPS,
     DEFAULT_FOOD_POINTS,
     DEFAULT_RECIPES,
     MAX_UNIQUE_FOOD_TYPES,
     SLIME_ELIGIBILITY_MAX,
+    DashAndDineRules,
     get_scenario,
     make_rules,
     mushroom_yield,
@@ -193,6 +195,63 @@ def test_crops_advance_through_growth_stages():
         world.step_tick()
     stages = [world.cells[p].growth_stage for p in immature]
     assert all(s == 3 for s in stages)  # plenty of time to fully regrow
+
+
+class DiscardThenEnsureRules(DashAndDineRules):
+    """``on_crop_advance`` as it was before it queued the next stage itself:
+    drop the cell from ``growing``, then redo every lookup through
+    ``ensure_growth``."""
+
+    def on_crop_advance(self, world, pos, cell) -> None:
+        self.growing.discard(pos)
+        crop = CROPS.get(cell.kind)
+        if crop is None:
+            return
+        if cell.growth_stage < crop.max_stage:
+            cell.growth_stage += 1
+        if cell.growth_stage < crop.max_stage:
+            self.ensure_growth(world, pos)
+
+
+def crop_growth_snapshots(rules_cls, seed: int) -> list:
+    """Step a Dash & Dine world 1500 ticks while random crop cells are
+    replanted through ``set_block`` and ``ensure_growth``, as
+    ``_farm_harvest`` does: mostly with their own crop, sometimes with bare
+    farmland, another crop (as ``sabotage_transform`` does) or no cell at
+    all.  Every 50 ticks, snapshot ``growing``, the pending timers,
+    the rng state and the state hash."""
+    config = get_scenario("dash_and_dine")
+    world = new_world(config.layout, seed)
+    rules = rules_cls(config)
+    rules.setup(world)
+    pick = Random(seed)
+    crops = sorted(pos for pos, cell in world.cells.items() if cell.kind in CROPS)
+    snapshots = []
+    for tick in range(1, 1501):
+        world.step_tick()
+        for _ in range(pick.choice((0, 0, 0, 1, 2))):
+            pos = pick.choice(crops)
+            cell = world.cells.get(pos)
+            kind = pick.choice(["farmland", pick.choice(sorted(CROPS)), None] + 5 * [cell and cell.kind])
+            if kind is None:
+                world.clear_block(pos)
+            else:
+                world.set_block(pos, kind)
+            rules.ensure_growth(world, pos)
+        if tick % 50 == 0:
+            pending = sorted((ev.fire_tick, ev.seq, ev.target) for ev in world.pending_timers())
+            snapshots.append((sorted(rules.growing), pending, world.rng.getstate(), world.state_hash()))
+    return snapshots
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 5])
+def test_crop_advance_queues_the_next_stage_as_discard_then_ensure_did(seed):
+    direct = crop_growth_snapshots(DashAndDineRules, seed)
+    assert direct == crop_growth_snapshots(DiscardThenEnsureRules, seed)
+    # crops were growing at every snapshot after the first, and each 50
+    # ticks drew from the rng
+    assert all(growing for growing, *_ in direct[1:])
+    assert len({state for _, _, state, _ in direct}) == len(direct)
 
 
 def test_sabotage_transform_drops_mature_yield_on_the_ground():

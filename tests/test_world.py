@@ -14,7 +14,7 @@ import tacticbench.runner as tb_runner
 from tacticbench.layout import load_builtin_layout, load_layout_text
 from tacticbench.opponents import BuiltinTeamSystem, builtin
 from tacticbench.runner import run_episode
-from tacticbench.scenarios import get_scenario
+from tacticbench.scenarios import CROPS, get_scenario, make_rules
 from tacticbench.world import (
     DEFAULT_EPISODE_TICKS,
     BlockCell,
@@ -233,21 +233,133 @@ def test_set_block_rejects_a_cell_off_the_grid(mw_world, key):
     assert mw_world.state_hash() == before and key not in mw_world.cells
 
 
-def test_next_timer_tick_and_skip_idle(mw_world):
-    assert mw_world.next_timer_tick() is None
+def test_advance_to_enters_each_timer_tick_then_until(mw_world):
+    entered = []
+    step = mw_world.step_tick
+
+    def step_tick():
+        entered.append(mw_world.tick + 1)
+        step()
+
+    mw_world.step_tick = step_tick
     late = mw_world.schedule("mob-respawn", mw_world.mobs[0], 50)
     early = mw_world.schedule("mob-respawn", mw_world.mobs[0], 20)
-    assert mw_world.next_timer_tick() == 20
     mw_world.cancel(early)
-    assert mw_world.next_timer_tick() == 20  # a cancelled top only shortens a jump
-    with pytest.raises(WorldError):
-        mw_world.skip_idle(21)  # would step over a queued timer
-    with pytest.raises(WorldError):
-        mw_world.skip_idle(0)
-    mw_world.skip_idle(20)
-    assert mw_world.tick == 19
-    mw_world.step_tick()
-    assert mw_world.tick == 20 and mw_world.next_timer_tick() == late.fire_tick == 50
+    mw_world.advance_to(30)  # a cancelled timer's tick is still entered
+    assert entered == [20, 30] and mw_world.tick == 30
+    mw_world.advance_to(50)
+    assert entered == [20, 30, 50] and not mw_world.pending_timers()
+    assert late.fire_tick == 50 and mw_world.mobs[0].alive
+    for until in (50, 49, 0):
+        with pytest.raises(WorldError):
+            mw_world.advance_to(until)
+    assert entered == [20, 30, 50] and mw_world.tick == 50
+
+
+def oracle_advance(world, until: int) -> None:
+    """The runner's clock loop before ``advance_to``, with the two world
+    methods it called, ``next_timer_tick`` and ``skip_idle``, inlined."""
+
+    def next_timer_tick():
+        return world._timer_heap[0][0] if world._timer_heap else None
+
+    def skip_idle(to):
+        top = next_timer_tick()
+        if to <= world.tick or (top is not None and top < to):
+            raise WorldError(f"cannot skip from tick {world.tick} to {to} (next timer {top})")
+        world.tick = to - 1
+
+    while True:
+        top = next_timer_tick()
+        if top is None or top >= until:
+            break
+        if top > world.tick + 1:
+            skip_idle(top)
+        world.step_tick()
+    if until > world.tick + 1:
+        skip_idle(until)
+    world.step_tick()
+
+
+def logged_dash_and_dine_world(seed: int):
+    """A Dash & Dine world with its rules set up, so each crop advance short
+    of the last stage queues the next, and a log of every tick ``step_tick``
+    enters and every effect it applies, in order, with how many timers the
+    effect queued."""
+    config = get_scenario("dash_and_dine")
+    world = new_world(config.layout, seed)
+    make_rules(config).setup(world)
+    log = []
+    step, apply = world.step_tick, world._apply_effect
+
+    def step_tick():
+        log.append(("enter", world.tick + 1))
+        step()
+
+    def apply_effect(ev):
+        seq = world._timer_seq
+        apply(ev)
+        log.append((ev.effect, ev.fire_tick, ev.seq, world._timer_seq - seq))
+
+    world.step_tick = step_tick
+    world._apply_effect = apply_effect
+    return world, log
+
+
+# rounds of (crops to replant, timers to queue, ticks to advance).  A crop
+# is an index into the sorted crop cells; each timer is a delay and whether
+# it is cancelled at once.  Few small delays put several timers on one tick
+# and make cancelled timers the earliest often.
+timer_rounds = st.lists(
+    st.tuples(
+        st.lists(st.integers(0, 10_000), max_size=4),
+        st.lists(st.tuples(st.sampled_from([1, 2, 3, 5, 8]) | st.integers(1, 90), st.booleans()),
+                 max_size=8),
+        st.sampled_from([1, 2, 5]) | st.integers(1, 120),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(timer_rounds, st.integers(0, 3))
+def test_advance_to_matches_the_runner_loop_it_replaced(rounds, seed):
+    new, new_log = logged_dash_and_dine_world(seed)
+    old, old_log = logged_dash_and_dine_world(seed)
+    crops = sorted(pos for pos, cell in new.cells.items() if cell.kind in CROPS)
+    # a first replant and a last long round make crop advances fire and
+    # queue their next stage
+    for replant, timers, gap in [([0], [], 1)] + rounds + [([], [], 200)]:
+        for world in (new, old):
+            for i in replant:
+                # as ``_farm_harvest`` replants a cell
+                pos = crops[i % len(crops)]
+                world.set_block(pos, world.cells[pos].kind)
+                world.rules.ensure_growth(world, pos)
+            for i, (delay, cancelled) in enumerate(timers):
+                if i % 2:
+                    ev = world.schedule("smelt-complete", ("Ryn", "baked_potato"), delay)
+                else:
+                    ev = world.schedule("mob-respawn", world.mobs[i % len(world.mobs)], delay)
+                if cancelled:
+                    world.cancel(ev)
+        until = new.tick + gap
+        new.advance_to(until)
+        oracle_advance(old, until)
+        assert new_log == old_log
+        assert new.tick == old.tick == until
+        assert [(ev.fire_tick, ev.seq, ev.target, ev.cancelled) for *_, ev in sorted(new._timer_heap)] == [
+            (ev.fire_tick, ev.seq, ev.target, ev.cancelled) for *_, ev in sorted(old._timer_heap)
+        ]
+        assert new.rng.getstate() == old.rng.getstate()
+        assert [e.payload for e in new.chat_log] == [e.payload for e in old.chat_log]
+    # some crop advance queued its cell's next stage
+    assert any(e[0] == "crop-advance" and e[3] for e in new_log)
+    for until in (new.tick, new.tick - 1):
+        with pytest.raises(WorldError):
+            new.advance_to(until)
+    assert new_log == old_log and new.tick == old.tick
 
 
 def test_observe_copies_inventory(mw_world):

@@ -39,12 +39,6 @@ MAX_PARSE_FAILURES = 3
 CHECKPOINT_VERSION = 1
 HISTORY_EVENT_CAP = 200
 
-OBJECTIVES = {
-    "mushroom_war": "harvest mushrooms in your own area to score more points than the opposing team",
-    "dash_and_dine": "cook and deliver high-value food to your own server to outscore the opposing team",
-}
-
-
 class TagParseError(ValueError):
     pass
 
@@ -201,12 +195,10 @@ def render_constants(constants: dict[str, object]) -> str:
 def game_slots(metadata: ScenarioMetadata, team_id: str) -> dict[str, str]:
     """The template slots that describe the game to ``team_id``; every
     prompt of both model-driven systems fills its game slots from here."""
-    if not metadata.description:
-        raise ValueError("scenario description must be non-empty")
     return {
         "team_name": team_id,
         "scenario": metadata.description,
-        "objective": OBJECTIVES.get(metadata.scenario, "outscore the opposing team"),
+        "objective": metadata.objective,
         "agents": ", ".join(metadata.teams[team_id]),
         "primitives": metadata.primitive_docs,
         "constants": render_constants(metadata.constants.get(team_id, {})),

@@ -201,13 +201,12 @@ def calibrate_sigma(
         cache = json.loads(Path(cache_path).read_text())
         if key in cache:
             return cache[key]
+    red = BuiltinTeamSystem(builtin("do_nothing", scenario))
     blue = BuiltinTeamSystem(builtin(opponent, scenario))
     total = 0.0
-    for episode in range(CALIBRATION_EPISODES):
-        seed = episode_seed(run_seed, scenario, f"calibrate:{opponent}", 0, episode)
-        red = BuiltinTeamSystem(builtin("do_nothing", scenario))
-        result = run_episode(config, {"red": red, "blue": blue}, seed)
-        total += result.reported["blue"]
+    label = f"calibrate:{opponent}"
+    for _, result, _ in play(config, red, blue, run_seed, label, episodes=CALIBRATION_EPISODES):
+        total += result.reported["blue"]  # in episode order: the sigma's last digit depends on it
     sigma = total / CALIBRATION_EPISODES
     if cache_path is not None:
         cache[key] = sigma
@@ -276,15 +275,28 @@ class RunFolder:
         (self.path / name).write_text(json.dumps(data, indent=2, sort_keys=True))
 
 
-def _drain_calls(system) -> list:
-    """Take the model-call records of ``system``'s client, leaving it none:
-    each record holds a full prompt, so none may outlive its episode."""
-    calls = getattr(getattr(system, "client", None), "calls", None)
-    if not calls:
-        return []
-    taken = list(calls)
-    calls.clear()
-    return taken
+def play(
+    scenario_config: ScenarioConfig, red: TeamSystem, blue: TeamSystem,
+    run_seed: int, label: str, repeat: int = 0, episodes: int = 1,
+) -> Iterator[tuple[int, EpisodeResult, list]]:
+    """The harness's one episode loop: ``red`` plays ``blue`` (both persist,
+    so they learn between episodes) for ``episodes`` episodes seeded by
+    ``episode_seed(run_seed, scenario, label, repeat, episode)``, yielding
+    ``(episode, result, red_calls)`` after each.  It takes the call records
+    off both clients first: each holds a full prompt, so none may outlive
+    its episode.  ``run_episode`` is read from this module each time, so a
+    patch of ``bench.run_episode`` sees every episode."""
+    scenario = scenario_config.name
+    systems = {"red": red, "blue": blue}
+    for episode in range(episodes):
+        seed = episode_seed(run_seed, scenario, label, repeat, episode)
+        result = run_episode(scenario_config, systems, seed)
+        taken = []
+        for system in (red, blue):
+            calls = getattr(getattr(system, "client", None), "calls", None) or []
+            taken.append(calls[:])
+            calls.clear()
+        yield episode, result, taken[0]
 
 
 # -- the benchmark ----------------------------------------------------------
@@ -300,17 +312,14 @@ class BenchmarkOutput:
 
 def play_repeat(
     config: RunConfig, scenario_config: ScenarioConfig, opponent: str, repeat: int
-) -> Iterator[tuple[int, TeamSystem, EpisodeResult]]:
-    """Play one repeat of the red system against a builtin ``opponent``,
-    yielding ``(episode, red, result)`` after each episode.  One fresh red
-    system plays every episode, so it learns between them; ``run_benchmark``
-    and ``tacticbench replay`` both play through here."""
+) -> Iterator[tuple[int, EpisodeResult, list]]:
+    """``play`` for one repeat of a fresh red system against a builtin
+    ``opponent``; ``run_benchmark`` and ``tacticbench replay`` both play
+    through here."""
     scenario = scenario_config.name
     red = make_system(config.red_system, scenario, config.client.build, config.seed + repeat)
     blue = BuiltinTeamSystem(builtin(opponent, scenario))
-    for episode in range(config.episodes):
-        seed = episode_seed(config.seed, scenario, opponent, repeat, episode)
-        yield episode, red, run_episode(scenario_config, {"red": red, "blue": blue}, seed)
+    return play(scenario_config, red, blue, config.seed, opponent, repeat, config.episodes)
 
 
 def run_benchmark(config: RunConfig, folder_name: Optional[str] = None) -> BenchmarkOutput:
@@ -330,13 +339,13 @@ def run_benchmark(config: RunConfig, folder_name: Optional[str] = None) -> Bench
             folder.write_json("calibration.json", used)
             try:
                 for repeat in range(config.repeats):
-                    for episode, red, result in play_repeat(config, scenario_config, opponent, repeat):
+                    for episode, result, calls in play_repeat(config, scenario_config, opponent, repeat):
                         row = _episode_row(scenario, config.red_system, opponent, repeat, episode, result)
                         rows.append(row)
                         folder.write_episode(row)
                         folder.append_transcripts(
                             {"scenario": scenario, "blue": opponent, "repeat": repeat, "episode": episode},
-                            _drain_calls(red),
+                            calls,
                         )
             except Exception as exc:  # a broken matchup must not sink the run
                 # its finished episodes stay in the rows, and so in the report
@@ -360,9 +369,7 @@ def _evaluate(
     """One episode of ``red`` against the builtin ``opponent``, seeded by
     ``label``, with its model calls dropped."""
     blue = BuiltinTeamSystem(builtin(opponent, scenario_config.name))
-    seed = episode_seed(config.seed, scenario_config.name, label, repeat, 0)
-    result = run_episode(scenario_config, {"red": red, "blue": blue}, seed)
-    _drain_calls(red)
+    ((_, result, _),) = play(scenario_config, red, blue, config.seed, label, repeat)
     return metric_values([result.reported["red"]], [result.reported["blue"]], sigma)
 
 
@@ -380,10 +387,9 @@ def adaptation_protocol(config: RunConfig, episodes_per_opponent: Optional[int] 
             for trained_on in opponents:
                 red = make_system(config.red_system, scenario, config.client.build, config.seed)
                 blue = BuiltinTeamSystem(builtin(trained_on, scenario))
-                for episode in range(train_n):
-                    seed = episode_seed(config.seed, scenario, f"adapt:{trained_on}", repeat, episode)
-                    run_episode(scenario_config, {"red": red, "blue": blue}, seed)
-                    _drain_calls(red)
+                training = play(scenario_config, red, blue, config.seed, f"adapt:{trained_on}", repeat, train_n)
+                for _ in training:
+                    pass
                 checkpoint = checkpoint_save(red) if isinstance(red, TactiCrafterSystem) else None
                 for evaluated_on in opponents:
                     evaluator = red if checkpoint is None else checkpoint_load(checkpoint, config.client.build())
@@ -419,11 +425,8 @@ def self_play_protocol(
         blue = make_system(config.red_system, scenario, config.client.build, config.seed + 1)
         scores = {"red": [], "blue": []}
         checkpoints: list[tuple[int, object]] = []
-        for episode in range(total_episodes):
-            seed = episode_seed(config.seed, scenario, "selfplay", 0, episode)
-            result = run_episode(scenario_config, {"red": red, "blue": blue}, seed)
-            _drain_calls(red)
-            _drain_calls(blue)
+        plays = play(scenario_config, red, blue, config.seed, "selfplay", 0, total_episodes)
+        for episode, result, _ in plays:
             scores["red"].append(result.reported["red"])
             scores["blue"].append(result.reported["blue"])
             if (episode + 1) % checkpoint_every == 0 and isinstance(red, TactiCrafterSystem):

@@ -86,7 +86,7 @@ def _cmd_replay(args) -> int:
     scenario, blue, repeat = row["scenario"], row["blue"], row["repeat"]
     # the repeat's earlier episodes rebuild the red system's learned state
     plays = play_repeat(config, get_scenario(scenario), blue, repeat)
-    result = next((result for episode, _, result in plays if episode == row["episode"]), None)
+    result = next((result for episode, result, _ in plays if episode == row["episode"]), None)
     if result is None:
         raise ValueError(f"{episode_path.name}: episode {row['episode']} is beyond the run config")
     replayed = _episode_row(scenario, config.red_system, blue, repeat, row["episode"], result)

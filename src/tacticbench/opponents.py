@@ -14,7 +14,7 @@ import string
 from dataclasses import dataclass
 from importlib import resources
 from random import Random
-from typing import Optional
+from typing import Generator, Optional
 
 from .actionlang import (
     ActionProgram,
@@ -43,8 +43,6 @@ class OpponentSpec:
     name: str
     scenario: str
     scripts: tuple[AgentScript, AgentScript]
-    sabotage_destroy: bool = False
-    sabotage_place: bool = False
 
 
 _MW_REMOVER = AgentScript("mw_slime_remover.act")
@@ -63,20 +61,16 @@ _BUILTINS: dict[tuple[str, str], OpponentSpec] = {
             "balanced",
             MUSHROOM_WAR,
             (AgentScript("mw_destroy_cycle.act"), _MW_HARVESTER),
-            sabotage_destroy=True,
         ),
         OpponentSpec(
             "slimy",
             MUSHROOM_WAR,
             (AgentScript("mw_slimy_cycle.act"), _MW_HARVESTER),
-            sabotage_place=True,
         ),
         OpponentSpec(
             "aggressive",
             MUSHROOM_WAR,
             (AgentScript("mw_aggressive_cycle.act"), _MW_HARVESTER),
-            sabotage_destroy=True,
-            sabotage_place=True,
         ),
         OpponentSpec(
             "do_nothing",
@@ -93,7 +87,6 @@ _BUILTINS: dict[tuple[str, str], OpponentSpec] = {
                 ),
                 AgentScript("dd_berries.act"),
             ),
-            sabotage_place=True,
         ),
         OpponentSpec(
             "cake_beetroot",
@@ -108,7 +101,6 @@ _BUILTINS: dict[tuple[str, str], OpponentSpec] = {
                 ),
                 AgentScript("dd_beetroot_soup.act"),
             ),
-            sabotage_place=True,
         ),
         OpponentSpec(
             "melon_pumpkin",
@@ -128,7 +120,6 @@ _BUILTINS: dict[tuple[str, str], OpponentSpec] = {
                 ),
                 AgentScript("dd_cookie.act"),
             ),
-            sabotage_place=True,
         ),
     ]
 }
@@ -212,9 +203,8 @@ class _AgentPolicy:
         self.driver = driver
         # parsed once per asset: ExecState never mutates its program
         self._programs: dict[str, ActionProgram] = {}
-        self.stage = "prologue"
-        self.prologue_idx = 0
-        self.primary_started_at = 0
+        self._sequence = self._run()
+        next(self._sequence)  # up to the first ``send(tick)``
 
     def _load(self, asset: str) -> ActionProgram:
         program = self._programs.get(asset)
@@ -226,27 +216,24 @@ class _AgentPolicy:
     def advance(self, tick: int) -> ActionProgram:
         """The next program, once the loaded one has ended or errored (or
         none is loaded yet)."""
-        if self.stage == "prologue":
-            if self.prologue_idx < len(self.script.prologues):
-                asset = self.script.prologues[self.prologue_idx]
-                self.prologue_idx += 1
-                return self._load(asset)
-            self.stage = "primary"
-            self.primary_started_at = tick
-            return self._load(self.script.primary)
-        if self.stage == "primary":
-            if self.driver.status == "error" and self.script.fallback:
-                self.stage = "fallback"
-                return self._load(self.script.fallback)
-            self.primary_started_at = tick
-            return self._load(self.script.primary)
-        # fallback finished (or errored): retry the primary, but not faster
-        # than the retry interval since the primary last started
-        self.stage = "primary"
-        remaining = self.primary_started_at + FALLBACK_RETRY_TICKS - tick
-        self.primary_started_at = tick
-        self.driver.charge_idle(max(0, remaining))
-        return self._load(self.script.primary)
+        return self._sequence.send(tick)
+
+    def _run(self) -> Generator[ActionProgram, int, None]:
+        """The sequence, receiving the tick of each ``advance``: the
+        prologues once, errors skipped; then the primary, and after a
+        primary error the fallback once, then idle until
+        ``FALLBACK_RETRY_TICKS`` have passed since the primary last
+        started."""
+        script = self.script
+        tick = yield
+        for asset in script.prologues:
+            tick = yield self._load(asset)
+        while True:
+            started = tick
+            tick = yield self._load(script.primary)
+            if self.driver.status == "error" and script.fallback:
+                tick = yield self._load(script.fallback)
+                self.driver.charge_idle(started + FALLBACK_RETRY_TICKS - tick)
 
 
 class BuiltinTeamSystem(ScriptTeam):
@@ -256,10 +243,6 @@ class BuiltinTeamSystem(ScriptTeam):
         super().__init__()
         self.spec = spec
         self._policies: dict[str, _AgentPolicy] = {}
-
-    @property
-    def name(self) -> str:
-        return self.spec.name
 
     def pre_game(self, metadata: ScenarioMetadata, team_id: str, initial_obs) -> None:
         constants = metadata.constants.get(team_id, {})

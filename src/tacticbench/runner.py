@@ -10,12 +10,7 @@ from typing import Optional
 from .actionlang import PrimitiveRequest, SayRequest, WaitRequest
 from .opponents import team_constants
 from .primitives import execute
-from .scenarios import (
-    DASH_AND_DINE,
-    MUSHROOM_WAR,
-    ScenarioConfig,
-    make_rules,
-)
+from .scenarios import SCENARIO_TEXT, ScenarioConfig, make_rules
 from .systems import (
     AgentView,
     EpisodeScore,
@@ -24,23 +19,6 @@ from .systems import (
     TeamSystem,
 )
 from .world import AgentBody, Event, WorldState, new_world
-
-SCENARIO_BLURBS = {
-    MUSHROOM_WAR: (
-        "Two teams each tend an area with slime patches and mushroom patches. "
-        "Mining a mushroom in your own area scores its yield. Mushrooms only "
-        "regrow while your area holds at most 7 slime blocks; slime regrows on "
-        "its original patches. Opponents may mine your mushrooms or dump slime "
-        "in your area."
-    ),
-    DASH_AND_DINE: (
-        "Two teams race to cook and deliver food to their own server. Farms, "
-        "chests, shared furnaces, and animals supply ingredients; recipes "
-        "range from raw berries to cake. Each team scores points for at most "
-        "3 distinct food types, so pick a menu and commit."
-    ),
-}
-
 
 def primitive_docs(config: ScenarioConfig) -> str:
     lines = []
@@ -63,11 +41,11 @@ def build_metadata(config: ScenarioConfig) -> ScenarioMetadata:
     }
     servers = {t: n for n, t, _ in layout.servers}
     constants = {team: team_constants(layout, team) for team in layout.areas}
+    description, objective = SCENARIO_TEXT[config.name]
     return ScenarioMetadata(
         scenario=config.name,
-        description=SCENARIO_BLURBS.get(config.name, ""),
-        duration_ticks=config.duration_ticks,
-        wait_ticks=config.wait_ticks,
+        description=description,
+        objective=objective,
         teams=teams,
         servers=servers,
         primitive_table=config.primitive_table,

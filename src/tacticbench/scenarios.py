@@ -5,6 +5,8 @@ One table, ``_SCENARIOS``, maps each scenario name to the factory of its
 default ``ScenarioConfig`` and to its rules class: ``get_scenario`` builds
 a config from it (overrides go through ``dataclasses.replace``, so
 ``ScenarioConfig.__post_init__`` checks them) and ``make_rules`` the rules.
+Beside it, ``SCENARIO_TEXT`` holds each scenario's description and team
+objective, which ``runner.build_metadata`` hands to every team system.
 
 Rule objects attach to a world as ``world.rules`` and receive hooks from the
 primitive engine (block removed/placed/regrown, crop advance, growth
@@ -160,6 +162,13 @@ class ScenarioConfig:
             raise ValueError("report_scale must be > 0")
         if self.duration_ticks <= 0:
             raise ValueError("duration_ticks must be > 0")
+        # a geometric delay needs a miss chance in (0, 1): log(1 - p) is finite and < 0
+        if not 0.0 < self.regrow.crop_advance_p < 1.0:
+            raise ValueError("regrow.crop_advance_p must be in (0, 1)")
+        for name in ("slime_delay", "mushroom_delay", "mob_respawn_delay"):
+            lo, hi = getattr(self.regrow, name)
+            if lo > hi:
+                raise ValueError(f"regrow.{name} must have lo <= hi, not {(lo, hi)}")
 
 
 @dataclass
@@ -440,6 +449,25 @@ def _dash_and_dine() -> ScenarioConfig:
         report_scale=0.1,
     )
 
+
+# scenario name -> (description, objective): the game as every prompt tells it
+SCENARIO_TEXT: dict[str, tuple[str, str]] = {
+    MUSHROOM_WAR: (
+        "Two teams each tend an area with slime patches and mushroom patches. "
+        "Mining a mushroom in your own area scores its yield. Mushrooms only "
+        "regrow while your area holds at most 7 slime blocks; slime regrows on "
+        "its original patches. Opponents may mine your mushrooms or dump slime "
+        "in your area.",
+        "harvest mushrooms in your own area to score more points than the opposing team",
+    ),
+    DASH_AND_DINE: (
+        "Two teams race to cook and deliver food to their own server. Farms, "
+        "chests, shared furnaces, and animals supply ingredients; recipes "
+        "range from raw berries to cake. Each team scores points for at most "
+        "3 distinct food types, so pick a menu and commit.",
+        "cook and deliver high-value food to your own server to outscore the opposing team",
+    ),
+}
 
 # scenario name -> (default config factory, rules class)
 _SCENARIOS: dict[str, tuple[Callable[[], ScenarioConfig], type[ScenarioRules]]] = {

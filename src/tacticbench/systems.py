@@ -25,8 +25,7 @@ from .world import Event, Inventory, Observation
 class ScenarioMetadata:
     scenario: str
     description: str
-    duration_ticks: int
-    wait_ticks: int
+    objective: str
     teams: dict[str, list[str]]  # team id -> player names (no servers)
     servers: dict[str, str]  # team id -> server name, if the scenario has one
     primitive_table: PrimitiveTable

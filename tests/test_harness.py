@@ -339,7 +339,46 @@ def test_calibration_runs_exactly_twenty_episodes(monkeypatch):
     assert len(seen) == CALIBRATION_EPISODES
 
 
+# the exact sigma of every builtin at run seed 0, in list_builtin order; the
+# float sum runs in episode order, so even the last digit is pinned
+SIGMAS_AT_SEED_0 = {
+    "mushroom_war": [0.0, 35.7, 45.7, 43.1, 39.9],
+    "dash_and_dine": [0.0, 43.0, 14.0, 50.825, 21.60000000000001],
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(SIGMAS_AT_SEED_0))
+def test_every_builtin_sigma_matches_its_pin(scenario):
+    sigmas = [calibrate_sigma(scenario, opponent, 0) for opponent in list_builtin(scenario)]
+    assert sigmas == SIGMAS_AT_SEED_0[scenario]
+
+
 # -- protocols ------------------------------------------------------------------------
+
+
+# sha256 of the sorted-key JSON of (adaptation table, self-play output) per
+# red system, on mushroom_war vs do_nothing and passive, 2 episodes, seed 3
+PROTOCOL_PINS = {
+    "tacticrafter": ("d71ebdbde28c09515da7e9b124fea80a416771c40d387da0310070f990143f17",
+                     "7ca7f3acae33f7aedfc7516802e1aa9008cc7521c80f6816e5f85943206f9d78"),
+    "cot": ("9f0370b200e31a1212ec3465a736ff3230b20af4146a7de0a52929d928d1f385",
+            "a928d010ff90c12ae4fec885a73730be8985f5d51e25fb4633d159b768058e16"),
+    "random": ("998f43766f6b79daccf03988c1de7a921cef8d6905cd09876e2b775d0871e86a",
+               "745907f7e1405b9b305c01c51ee285c4a30fa6302ea34b28001b5c715eb8bd71"),
+    "builtin:passive": ("6891616f323a9a494292db1b1dbf8735dcce40462631557648d513ec3d5ff194",
+                        "bdbf53d8cc988eee4b8694d1224701ebbc96fb0b297d1946960e59037d322929"),
+}
+
+
+@pytest.mark.parametrize("red", sorted(PROTOCOL_PINS))
+def test_protocol_outputs_match_their_pins(red):
+    config = RunConfig(scenarios=["mushroom_war"], opponents=["do_nothing", "passive"],
+                       episodes=2, repeats=1, seed=3, red_system=red)
+    outputs = (bench.adaptation_protocol(config),
+               bench.self_play_protocol(config, total_episodes=2, checkpoint_every=1))
+    digests = tuple(hashlib.sha256(json.dumps(o, sort_keys=True).encode()).hexdigest()
+                    for o in outputs)
+    assert digests == PROTOCOL_PINS[red]
 
 
 def test_protocols_keep_no_model_calls_between_episodes(monkeypatch):
@@ -669,7 +708,7 @@ def test_failed_matchup_is_recorded_and_the_others_complete(tmp_path, monkeypatc
 
     def crashing(config, systems, seed):
         # only the benchmark's red side plays balanced; calibration's is do_nothing
-        if systems["red"].name == "balanced" and systems["blue"].name == "passive":
+        if systems["red"].spec.name == "balanced" and systems["blue"].spec.name == "passive":
             played.append(seed)
             if len(played) == 2:
                 raise RuntimeError("blue crashed")

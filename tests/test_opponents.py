@@ -69,14 +69,38 @@ def test_unknown_builtin_raises():
         builtin("nonexistent", "mushroom_war")
 
 
-def test_sabotage_flags_per_opponent():
-    assert not builtin("passive", "mushroom_war").sabotage_destroy
-    assert not builtin("passive", "mushroom_war").sabotage_place
-    assert builtin("balanced", "mushroom_war").sabotage_destroy
-    assert builtin("slimy", "mushroom_war").sabotage_place
-    agg = builtin("aggressive", "mushroom_war")
-    assert agg.sabotage_destroy and agg.sabotage_place
-    assert not builtin("melon_pumpkin", "dash_and_dine").sabotage_place
+def _sabotage(scenario: str, name: str) -> set[str]:
+    """What ``name``'s rendered scripts do to the other side: "destroy" when
+    one mines a block in the opponent area, "place" when one places a block
+    or converts a farm."""
+    constants = team_constants(get_scenario(scenario).layout, "red")
+    kinds = set()
+    for script in builtin(name, scenario).scripts:
+        for asset in (*script.prologues, script.primary, script.fallback):
+            if asset is None:
+                continue
+            for c in all_calls(parse_source(render_script(asset, constants))):
+                if c.name == "mineBlock" and c.args[2:] == ["opponent"]:
+                    kinds.add("destroy")
+                if c.name in ("placeItem", "transformFarm"):
+                    kinds.add("place")
+    return kinds
+
+
+def test_sabotage_per_opponent_follows_from_its_scripts():
+    got = {(s, n): _sabotage(s, n) for s in ("mushroom_war", "dash_and_dine") for n in list_builtin(s)}
+    assert got == {
+        ("mushroom_war", "do_nothing"): set(),
+        ("mushroom_war", "aggressive"): {"destroy", "place"},
+        ("mushroom_war", "balanced"): {"destroy"},
+        ("mushroom_war", "passive"): set(),
+        ("mushroom_war", "slimy"): {"place"},
+        ("dash_and_dine", "do_nothing"): set(),
+        ("dash_and_dine", "berries"): {"place"},
+        ("dash_and_dine", "cake_beetroot"): {"place"},
+        ("dash_and_dine", "melon_pumpkin"): set(),
+        ("dash_and_dine", "potato_cookie"): {"place"},
+    }
 
 
 def test_every_builtin_script_renders_parses_and_validates():

@@ -13,7 +13,9 @@ from tacticbench.scenarios import (
     DEFAULT_RECIPES,
     MAX_UNIQUE_FOOD_TYPES,
     SLIME_ELIGIBILITY_MAX,
+    SCENARIO_NAMES,
     DashAndDineRules,
+    RegrowConfig,
     get_scenario,
     make_rules,
     mushroom_yield,
@@ -288,6 +290,29 @@ def test_config_overrides_validate_keys():
         get_scenario("dash_and_dine", report_scale=0)
     with pytest.raises(ValueError):
         get_scenario("no_such_scenario")
+
+
+@pytest.mark.parametrize("bad", [
+    {"crop_advance_p": 1.0},  # log(1 - p) is a math domain error at every harvest
+    {"crop_advance_p": 0.0},  # log(1 - p) is 0: a ZeroDivisionError in run_episode
+    {"crop_advance_p": -0.1},
+    {"crop_advance_p": 1.5},
+    {"crop_advance_p": float("nan")},
+    {"slime_delay": (5, 4)},
+    {"mushroom_delay": (200, 60)},
+    {"mob_respawn_delay": (1, 0)},
+])
+@pytest.mark.parametrize("scenario", SCENARIO_NAMES)
+def test_config_rejects_a_regrow_it_cannot_schedule(scenario, bad):
+    with pytest.raises(ValueError, match="regrow"):
+        get_scenario(scenario, regrow=RegrowConfig(**bad))
+
+
+def test_default_and_edge_regrow_configs_build():
+    for scenario in SCENARIO_NAMES:
+        assert get_scenario(scenario).regrow == RegrowConfig()
+        edge = RegrowConfig(slime_delay=(7, 7), crop_advance_p=0.999)
+        assert get_scenario(scenario, regrow=edge).regrow == edge
 
 
 def test_mushroom_war_has_no_recipes_or_furnaces():

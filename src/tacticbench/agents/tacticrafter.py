@@ -11,13 +11,15 @@ response time.
 """
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import re
 import string
 from dataclasses import asdict, dataclass, field
 from importlib import resources
-from typing import Callable, Optional, TypeVar
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional, TypeVar
 
 from ..actionlang import ActionProgram, ExecState, ParseError, Request, parse_source, validate
 from ..systems import AgentView, ScenarioMetadata, ScriptTeam
@@ -103,29 +105,67 @@ class OpponentTactics:
 
 
 class PromptTemplates:
-    """The p_a..p_h prompt assets; every named slot must be filled."""
+    """The p_a..p_h prompt assets; every named slot must be filled.
+
+    A prompt is assembled from parts made once.  Each packaged template is
+    read and split on first use into literal text and slot names, with
+    ``string.Template.pattern``, so ``$$``, ``$name`` and ``${name}`` read
+    exactly as ``substitute`` reads them; every system of the process
+    shares that split, read-only.  ``fill`` then joins the literals with
+    ``str()`` of each slot's value.  TactiCrafter renders its tactics and
+    causal graph text once per episode, at ``pre_game``, and each chat
+    line once per event (``Event.line``).
+    """
 
     NAMES = ("p_a", "p_b", "p_c", "p_d", "p_e", "p_f", "p_g", "p_h")
 
     def __init__(self) -> None:
-        base = resources.files("tacticbench") / "agents" / "templates"
-        self.texts = {name: (base / f"{name}.txt").read_text() for name in self.NAMES}
-        self._templates = {name: string.Template(text) for name, text in self.texts.items()}
-        self._slots = {name: _slot_names(t) for name, t in self._templates.items()}
+        self.texts, self._parts = _packaged_templates()
 
     def fill(self, name: str, **slots) -> str:
-        missing = self._slots[name] - slots.keys()
+        required, head, rest = self._parts[name]
+        missing = required - slots.keys()
         if missing:
             raise KeyError(f"template {name} missing slots: {sorted(missing)}")
-        return self._templates[name].substitute({k: str(v) for k, v in slots.items()})
+        out = [head]
+        for slot, literal in rest:
+            out.append(str(slots[slot]))
+            out.append(literal)
+        return "".join(out)
 
 
-def _slot_names(template: string.Template) -> frozenset[str]:
-    return frozenset(
-        m.group("named") or m.group("braced")
-        for m in template.pattern.finditer(template.template)
-        if m.group("named") or m.group("braced")
-    )
+# A split template: its slot names, the text before its first slot, and
+# per slot in order, (slot name, the text up to the next slot or the end).
+_Split = tuple[frozenset, str, tuple[tuple[str, str], ...]]
+
+
+def _split_template(text: str) -> _Split:
+    """``text`` as ``substitute`` reads it: ``$$`` is a literal ``$``,
+    ``$name`` and ``${name}`` are slots; any other ``$`` is a ValueError."""
+    literals, names, pending, start = [], [], [], 0
+    for m in string.Template.pattern.finditer(text):
+        pending.append(text[start : m.start()])
+        start = m.end()
+        name = m.group("named") or m.group("braced")
+        if name is not None:
+            literals.append("".join(pending))
+            names.append(name)
+            pending = []
+        elif m.group("escaped") is not None:
+            pending.append(m.group("escaped"))
+        else:
+            raise ValueError(f"invalid placeholder at offset {m.start()} of template")
+    pending.append(text[start:])
+    literals.append("".join(pending))
+    return frozenset(names), literals[0], tuple(zip(names, literals[1:]))
+
+
+@functools.cache
+def _packaged_templates() -> tuple[Mapping[str, str], Mapping[str, _Split]]:
+    base = resources.files("tacticbench") / "agents" / "templates"
+    texts = {name: (base / f"{name}.txt").read_text() for name in PromptTemplates.NAMES}
+    parts = {name: _split_template(text) for name, text in texts.items()}
+    return MappingProxyType(texts), MappingProxyType(parts)
 
 
 # -- history ----------------------------------------------------------------
@@ -159,7 +199,7 @@ class TeamLog:
 
 def render_events(compact: list[Event], cap: int = HISTORY_EVENT_CAP) -> str:
     """One line per event, the last ``cap`` events only."""
-    lines = [f"[{ev.tick}] {ev.sender}: {ev.payload}" for ev in compact[-cap:]]
+    lines = [ev.line for ev in compact[-cap:]]
     return "\n".join(lines) if lines else "(nothing)"
 
 
@@ -177,9 +217,7 @@ def render_member_history(compact: list[Event], members: list[str]) -> str:
 
 
 def opponent_chat_lines(compact: list[Event], opponent_members: list[str]) -> str:
-    lines = [
-        f"[{ev.tick}] {ev.sender}: {ev.payload}" for ev in compact if ev.sender in opponent_members
-    ]
+    lines = [ev.line for ev in compact if ev.sender in opponent_members]
     return "\n".join(lines) if lines else "(no opponent messages)"
 
 
@@ -204,6 +242,10 @@ def game_slots(metadata: ScenarioMetadata, team_id: str) -> dict[str, str]:
         "constants": render_constants(metadata.constants.get(team_id, {})),
         "opponent_name": metadata.opponent_of(team_id),
     }
+
+
+def _graph_text(graph: CausalGraph) -> str:
+    return graph.serialize() or "(empty)"
 
 
 def _chat(client: ChatClient, purpose: str, prompt: str):
@@ -310,7 +352,9 @@ class TactiCrafterSystem(ScriptTeam):
         self.graph = CausalGraph()
         self.opponent_tactics = OpponentTactics()
         self._agents: dict[str, _BaseAgent] = {}
-        self._slots: dict[str, str] = {}  # game_slots of the current episode
+        # game_slots of the current episode; from the end of pre_game on,
+        # also its tactics and causal graph text
+        self._slots: dict[str, str] = {}
         self._meta: Optional[ScenarioMetadata] = None
         self._log = TeamLog()  # the current episode's, or else the last one's
         self.idle_ticks_charged = 0
@@ -325,20 +369,23 @@ class TactiCrafterSystem(ScriptTeam):
         if self.episode_counter == 1 and self.tactics is None:
             graph = self._ask("causal", "p_c", CausalGraph.parse_lenient) or CausalGraph()
             self.graph = ensure_primitive_coverage(graph, metadata.primitive_table)
+            graph_text = _graph_text(self.graph)
             self.tactics = self._ask(
-                "tactics", "p_a", Tactics.parse, causal_graph=self.graph.serialize() or "(empty)"
+                "tactics", "p_a", Tactics.parse, causal_graph=graph_text
             ) or Tactics([FALLBACK_TACTICS_LINE])
         elif self._log.events:
             compact = dedup_events(self._log.events)
+            graph_text = _graph_text(self.graph)
             learned = self._ask(
                 "causal",
                 "p_d",
                 CausalGraph.parse_lenient,
-                causal_graph=self.graph.serialize() or "(empty)",
+                causal_graph=graph_text,
                 history=render_member_history(compact, metadata.teams[team_id]),
             )
             if learned:
                 self.graph = self.graph.union(learned)
+                graph_text = _graph_text(self.graph)
             self.opponent_tactics = self._ask(
                 "opponent",
                 "p_e",
@@ -355,10 +402,15 @@ class TactiCrafterSystem(ScriptTeam):
                 "p_b",
                 Tactics.parse,
                 history=render_events(compact),
-                causal_graph=self.graph.serialize() or "(empty)",
+                causal_graph=graph_text,
                 previous_tactics=previous.to_text(),
                 opponent_tactics=self.opponent_tactics.to_text(),
             ) or previous
+        else:
+            graph_text = _graph_text(self.graph)
+        # nothing changes the tactics or the graph until the next pre_game
+        self._slots["tactics"] = self.tactics.to_text() if self.tactics else FALLBACK_TACTICS_LINE
+        self._slots["causal_graph"] = graph_text
         self._agents = {
             name: _BaseAgent(name, i) for i, name in enumerate(metadata.teams[team_id])
         }
@@ -390,8 +442,6 @@ class TactiCrafterSystem(ScriptTeam):
             **self._slots,
             agent_name=agent.name,
             agent_index=agent.index,
-            tactics=self.tactics.to_text() if self.tactics else FALLBACK_TACTICS_LINE,
-            causal_graph=self.graph.serialize() or "(empty)",
             history=render_events(agent.compact) if agent.compact else "(episode start)",
             critique=agent.critique or "(none)",
         )
@@ -443,7 +493,6 @@ class TactiCrafterSystem(ScriptTeam):
             "p_g",
             **self._slots,
             agent_name=agent.name,
-            tactics=self.tactics.to_text() if self.tactics else FALLBACK_TACTICS_LINE,
             status_report="\n".join(f"{k}: {v}" for k, v in status.items()),
             error=agent.driver.error_message or "(completed without error)",
         )

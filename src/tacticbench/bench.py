@@ -375,7 +375,8 @@ def _evaluate(
 
 def adaptation_protocol(config: RunConfig, episodes_per_opponent: Optional[int] = None) -> dict:
     """Train vs each opponent, checkpoint, then evaluate the checkpoint for
-    one episode against every opponent; aggregate Same vs Different cells."""
+    one episode against every opponent; aggregate Same vs Different cells,
+    each with its ``n_episodes`` (a cell with none is null)."""
     train_n = episodes_per_opponent or config.episodes
     cells: dict[str, dict[str, list[MetricValues]]] = {}
     for scenario in config.scenarios:
@@ -400,13 +401,18 @@ def adaptation_protocol(config: RunConfig, episodes_per_opponent: Optional[int] 
         kind: [v for scenario in config.scenarios for v in cells[scenario][kind]]
         for kind in ("Same", "Different")
     }
-    table: dict[str, dict[str, dict[str, float]]] = {}
-    for name, kinds in cells.items():
-        table[name] = {}
-        for kind, values in kinds.items():
-            v = mean_values(values)
-            table[name][kind] = {"P": v.P, "S": v.S, "D": v.D, "W": v.W}
-    return table
+    return {
+        name: {kind: _cell(values) for kind, values in kinds.items()}
+        for name, kinds in cells.items()
+    }
+
+
+def _cell(values: list[MetricValues]) -> dict:
+    """An adaptation table cell: the mean metrics and the episodes behind
+    them; a cell no episode measured is null, not a loss."""
+    if not values:
+        return {"P": None, "S": None, "D": None, "W": None, "n_episodes": 0}
+    return dataclasses.asdict(mean_values(values))
 
 
 def self_play_protocol(

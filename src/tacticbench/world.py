@@ -153,6 +153,12 @@ class Event:
     sender: str  # agent name or "environment"
     payload: str
 
+    @functools.cached_property
+    def line(self) -> str:
+        """``[tick] sender: payload``, as history prompts show it; rendered
+        at most once, since nothing changes an event once broadcast."""
+        return f"[{self.tick}] {self.sender}: {self.payload}"
+
 
 @dataclass
 class Observation:

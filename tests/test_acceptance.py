@@ -406,7 +406,7 @@ def test_criterion_13_protocol_shapes():
         for row in table.values():
             assert set(row) == {"Same", "Different"}
             for cell in row.values():
-                assert set(cell) == {"P", "S", "D", "W"}
+                assert set(cell) == {"P", "S", "D", "W", "n_episodes"}
 
         solo = RunConfig(scenarios=["mushroom_war"], episodes=1, repeats=1,
                          seed=22, red_system="tacticrafter")

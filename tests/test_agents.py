@@ -2,7 +2,11 @@
 checkpoints, and the baselines."""
 from __future__ import annotations
 
+import itertools
+import re
+import string
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import requests
@@ -11,6 +15,7 @@ from hypothesis import strategies as st
 
 from tacticbench.actionlang import parse_source
 from tacticbench.agents import tacticrafter
+from tacticbench.agents.tacticrafter import CHECKPOINT_VERSION
 from tacticbench.agents import (
     CausalGraph,
     CausalParseError,
@@ -259,6 +264,115 @@ def test_fill_interpolates_values():
         "p_c", team_name="red", scenario="test scenario", primitives="docs here"
     )
     assert "test scenario" in out and "docs here" in out
+
+
+# slot values that look like template syntax must pass through as text
+SLOT_VALUES = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(["$", "$$", "${x}", "$x", "a\nb\n", "{x}", "%s"]),
+    st.integers(),
+)
+# template texts built from literal text (no "$"), "$$", "$name" and
+# "${name}"; a literal with identifier characters can run into a "$name"
+# before it and lengthen the slot name, as substitute reads it too
+TEMPLATE_TEXTS = st.lists(
+    st.one_of(
+        st.text(alphabet=" \n{}%:.-é中xz_9", max_size=6),
+        st.just("$$"),
+        st.sampled_from(["a", "b", "B", "slot_1"]).map(lambda n: "$" + n),
+        st.sampled_from(["a", "b", "B", "slot_1"]).map(lambda n: "${" + n + "}"),
+    ),
+    max_size=12,
+).map("".join)
+
+
+def _check_fill_matches_substitute(templates, name, data) -> None:
+    """``fill`` gives what ``string.Template.substitute`` gives, with slots
+    drawn for every name substitute asks for; one slot short, both refuse."""
+    reference = string.Template(templates.texts[name])
+    slots = {}
+    while True:
+        try:
+            expected = reference.substitute(slots)
+            break
+        except KeyError as exc:
+            slots[exc.args[0]] = data.draw(SLOT_VALUES)
+    assert templates.fill(name, **slots) == expected
+    for slot in slots:
+        short = {k: v for k, v in slots.items() if k != slot}
+        with pytest.raises(KeyError, match=re.escape(f"template {name} missing slots: {[slot]}")):
+            templates.fill(name, **short)
+        with pytest.raises(KeyError):
+            reference.substitute(short)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(PromptTemplates.NAMES), st.data())
+def test_fill_reads_each_packaged_template_as_substitute_does(name, data):
+    _check_fill_matches_substitute(PromptTemplates(), name, data)
+
+
+def _templates_of(text: str) -> PromptTemplates:
+    """PromptTemplates whose one template, ``t``, is ``text``, split as the
+    packaged files are."""
+    def load():
+        return {"t": text}, {"t": tacticrafter._split_template(text)}
+
+    with mock.patch.object(tacticrafter, "_packaged_templates", load):
+        return PromptTemplates()
+
+
+@settings(max_examples=400, deadline=None)
+@given(TEMPLATE_TEXTS, st.data())
+def test_fill_reads_any_template_as_substitute_does(text, data):
+    _check_fill_matches_substitute(_templates_of(text), "t", data)
+
+
+@pytest.mark.parametrize("text", ["costs $5", "a $ b", "${ x}", "end $"])
+def test_a_placeholder_substitute_rejects_is_rejected(text):
+    with pytest.raises(ValueError):
+        string.Template(text).substitute({})
+    with pytest.raises(ValueError):
+        tacticrafter._split_template(text)
+
+
+def test_packaged_templates_are_read_once_and_shared():
+    first, second = PromptTemplates(), PromptTemplates()
+    assert first.texts is second.texts and first._parts is second._parts
+    with pytest.raises(TypeError):
+        first.texts["p_a"] = "changed"
+
+
+def _f_string_render_events(compact, cap=tacticrafter.HISTORY_EVENT_CAP):
+    """``render_events`` as it formatted each line before ``Event.line``."""
+    lines = [f"[{ev.tick}] {ev.sender}: {ev.payload}" for ev in compact[-cap:]]
+    return "\n".join(lines) if lines else "(nothing)"
+
+
+def _f_string_opponent_chat_lines(compact, opponent_members):
+    lines = [
+        f"[{ev.tick}] {ev.sender}: {ev.payload}" for ev in compact if ev.sender in opponent_members
+    ]
+    return "\n".join(lines) if lines else "(no opponent messages)"
+
+
+PAYLOADS = st.one_of(
+    st.text(max_size=20),
+    st.sampled_from(["{x}", "{{}}", "$", "${a}", "$$b", "two\nlines\n", "héllo wörld", "中文 💡"]),
+)
+RENDERED_LOGS = st.lists(
+    st.builds(Event, st.integers(0, 10**6), st.sampled_from(["Ryn", "Byte", "environment"]), PAYLOADS),
+    max_size=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(RENDERED_LOGS, st.integers(1, 40))
+def test_rendered_lines_equal_the_f_string_lines(events, cap):
+    for _ in range(2):  # the second time every line comes from the cache
+        assert render_events(events, cap) == _f_string_render_events(events, cap)
+        assert render_events(events) == _f_string_render_events(events)
+        assert opponent_chat_lines(events, ["Byte"]) == _f_string_opponent_chat_lines(events, ["Byte"])
 
 
 # -- clients ------------------------------------------------------------------------
@@ -583,6 +697,51 @@ def test_tacticrafter_regenerates_once_per_poll_when_programs_end_without_a_requ
         assert ticks == list(range(0, config.duration_ticks, wait))
         assert regenerations[name] == len(ticks)
         assert system.iteration_counts[name] == len(ticks) + 1  # plus the pre-game one
+
+
+def test_each_episode_prompts_with_the_texts_its_pre_game_produced():
+    plans, relations = itertools.count(1), itertools.count(1)
+
+    def respond(purpose, prompt):
+        if purpose == "tactics":
+            return f"<tactics>\nplan number {next(plans)}\n</tactics>"
+        if purpose == "causal":
+            k = next(relations)
+            return f"Action: wait({k}); Cause: []; Effect ['step{k}']"
+        return default_mock_responder(purpose, prompt)
+
+    client = MockChatClient(responder=respond)
+    system = TactiCrafterSystem(client)
+    produced = []
+    for seed in (2, 3, 4):
+        start = len(client.calls)
+        _short_episode(system, ticks=600, seed=seed)
+        # pre_game set both; nothing changes them during the episode
+        tactics, graph = system.tactics.to_text(), system.graph.serialize()
+        assert (tactics, graph) not in produced
+        produced.append((tactics, graph))
+        calls = client.calls[start:]
+        programs = [c.request_text for c in calls if c.purpose == "program"]
+        critics = [c.request_text for c in calls if c.purpose == "critic"]
+        assert len(programs) > 2 and critics
+        for prompt in programs:
+            assert f"Team plan:\n{tactics}\n\nKnown action dependencies:\n{graph}\n\n" in prompt
+        for prompt in critics:
+            assert f"Team plan:\n{tactics}\n\nStatus report" in prompt
+    assert [t for t, _ in produced] == ["plan number 1", "plan number 2", "plan number 3"]
+
+
+def test_restored_system_plans_with_the_checkpoint_tactics_and_graph():
+    client = make_mock_client()
+    relation = {"action": 'mineBlock("slime_block", 1)', "causes": [], "effects": ["slime_block"]}
+    checkpoint = Checkpoint(CHECKPOINT_VERSION, 3, ["Ryn guards the slime", "Raze mines"],
+                            [relation], ["they rush"])
+    system = checkpoint_load(checkpoint, client)
+    _short_episode(system, ticks=600)
+    first_program = next(c.request_text for c in client.calls if c.purpose == "program")
+    graph = CausalGraph.from_json([relation]).serialize()
+    assert (f"Team plan:\nRyn guards the slime\nRaze mines\n\n"
+            f"Known action dependencies:\n{graph}\n\n") in first_program
 
 
 def test_tacticrafter_second_episode_runs_the_update_path():

@@ -359,13 +359,13 @@ def test_every_builtin_sigma_matches_its_pin(scenario):
 # sha256 of the sorted-key JSON of (adaptation table, self-play output) per
 # red system, on mushroom_war vs do_nothing and passive, 2 episodes, seed 3
 PROTOCOL_PINS = {
-    "tacticrafter": ("d71ebdbde28c09515da7e9b124fea80a416771c40d387da0310070f990143f17",
+    "tacticrafter": ("e1456a1d19fcca50cd1c2da37e8ea6489c072a768b0fc138c363120e70ab3f5a",
                      "7ca7f3acae33f7aedfc7516802e1aa9008cc7521c80f6816e5f85943206f9d78"),
-    "cot": ("9f0370b200e31a1212ec3465a736ff3230b20af4146a7de0a52929d928d1f385",
+    "cot": ("d44b1f61a01e3bcd278917c21b777057482313d2bafc417a6238f2f4c9c6dbf5",
             "a928d010ff90c12ae4fec885a73730be8985f5d51e25fb4633d159b768058e16"),
-    "random": ("998f43766f6b79daccf03988c1de7a921cef8d6905cd09876e2b775d0871e86a",
+    "random": ("49f632dbac1619e6ff6383ac486b6f7e970e9fc625b31d15444093bd603f899f",
                "745907f7e1405b9b305c01c51ee285c4a30fa6302ea34b28001b5c715eb8bd71"),
-    "builtin:passive": ("6891616f323a9a494292db1b1dbf8735dcce40462631557648d513ec3d5ff194",
+    "builtin:passive": ("4cfaabfe8e2ad02e88f82f861dfd1f618dd1dccbdf6d45a024bab367db72ff97",
                         "bdbf53d8cc988eee4b8694d1224701ebbc96fb0b297d1946960e59037d322929"),
 }
 
@@ -379,6 +379,17 @@ def test_protocol_outputs_match_their_pins(red):
     digests = tuple(hashlib.sha256(json.dumps(o, sort_keys=True).encode()).hexdigest()
                     for o in outputs)
     assert digests == PROTOCOL_PINS[red]
+
+
+def test_adapt_with_one_opponent_leaves_different_cells_unmeasured():
+    config = RunConfig(scenarios=["mushroom_war"], opponents=["passive"],
+                       episodes=1, repeats=1, seed=3, red_system="random")
+    table = bench.adaptation_protocol(config)
+    assert set(table) == {"mushroom_war", "Avg"}
+    for row in table.values():
+        assert row["Different"] == {"P": None, "S": None, "D": None, "W": None, "n_episodes": 0}
+        assert row["Same"]["n_episodes"] == 1
+        assert all(isinstance(row["Same"][m], float) for m in "PSDW")
 
 
 def test_protocols_keep_no_model_calls_between_episodes(monkeypatch):

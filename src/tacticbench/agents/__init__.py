@@ -14,15 +14,12 @@ from .mock import default_mock_responder, make_mock_client
 from .tacticrafter import (
     FALLBACK_TACTICS_LINE,
     MAX_TACTICS_LINES,
-    Checkpoint,
     OpponentTactics,
     PromptTemplates,
     Tactics,
     TactiCrafterSystem,
     TagParseError,
     TeamLog,
-    checkpoint_load,
-    checkpoint_save,
     compile_program,
     ensure_primitive_coverage,
     extract_tagged,

@@ -100,3 +100,13 @@ class CoTTeamSystem(ScriptTeam):
         if driver.status == "error" and not self._memory.error:
             self._memory.error = driver.error_message or ""
         return parse_source(WAIT_LOOP_SOURCE)
+
+    def snapshot(self) -> dict:
+        """The last episode's programs, first error and chat log, from
+        which the next ``pre_game`` prompt is written."""
+        memory = self._memory
+        return {"programs": memory.programs, "error": memory.error, "log": memory.log.to_json()}
+
+    def restore(self, snapshot: dict) -> None:
+        log = TeamLog.from_json(snapshot["log"])
+        self._memory = _EpisodeMemory(snapshot["programs"], snapshot["error"], log)

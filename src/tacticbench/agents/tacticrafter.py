@@ -12,11 +12,10 @@ response time.
 from __future__ import annotations
 
 import functools
-import json
 import logging
 import re
 import string
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from importlib import resources
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, TypeVar
@@ -38,7 +37,6 @@ UNKNOWN = "unknown"
 FALLBACK_TACTICS_LINE = "All players harvest in own area"
 WAIT_LOOP_SOURCE = "loop { wait(20) }"
 MAX_PARSE_FAILURES = 3
-CHECKPOINT_VERSION = 1
 HISTORY_EVENT_CAP = 200
 
 class TagParseError(ValueError):
@@ -193,6 +191,17 @@ class TeamLog:
         """The lines ``agent`` has been handed so far."""
         return self.events[: self.seen[agent]]
 
+    def to_json(self) -> list[list]:
+        """The lines as ``[tick, sender, payload]`` triples."""
+        return [[ev.tick, ev.sender, ev.payload] for ev in self.events]
+
+    @classmethod
+    def from_json(cls, triples: list[list]) -> "TeamLog":
+        """A finished episode's log, from ``to_json`` triples."""
+        team_log = cls()
+        team_log.events = [Event(*triple) for triple in triples]
+        return team_log
+
 
 # The renderers below take a log that ``dedup_events`` already compacted.
 
@@ -271,55 +280,6 @@ def ensure_primitive_coverage(graph: CausalGraph, table) -> CausalGraph:
         if name not in covered:
             graph.add(CausalRelation(_stub_call(name, table)))
     return graph
-
-
-# -- checkpoints -------------------------------------------------------------
-
-
-@dataclass
-class Checkpoint:
-    version: int
-    episode_counter: int
-    tactics: Optional[list[str]]
-    causal_graph: list[dict]
-    opponent_tactics: list[str]
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Checkpoint":
-        data = json.loads(text)
-        if data.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"checkpoint version mismatch: {data.get('version')!r}")
-        return cls(
-            version=data["version"],
-            episode_counter=data["episode_counter"],
-            tactics=data["tactics"],
-            causal_graph=data["causal_graph"],
-            opponent_tactics=data["opponent_tactics"],
-        )
-
-
-def checkpoint_save(system: "TactiCrafterSystem") -> Checkpoint:
-    return Checkpoint(
-        version=CHECKPOINT_VERSION,
-        episode_counter=system.episode_counter,
-        tactics=system.tactics.lines if system.tactics else None,
-        causal_graph=system.graph.to_json(),
-        opponent_tactics=system.opponent_tactics.lines,
-    )
-
-
-def checkpoint_load(checkpoint: Checkpoint, client: ChatClient) -> "TactiCrafterSystem":
-    if checkpoint.version != CHECKPOINT_VERSION:
-        raise ValueError(f"checkpoint version mismatch: {checkpoint.version!r}")
-    system = TactiCrafterSystem(client)
-    system.episode_counter = checkpoint.episode_counter
-    system.tactics = Tactics(list(checkpoint.tactics)) if checkpoint.tactics else None
-    system.graph = CausalGraph.from_json(checkpoint.causal_graph)
-    system.opponent_tactics = OpponentTactics(list(checkpoint.opponent_tactics))
-    return system
 
 
 # -- the team system ---------------------------------------------------------
@@ -516,3 +476,23 @@ class TactiCrafterSystem(ScriptTeam):
 
     def post_game(self, score) -> None:
         self.iteration_counts = {n: self._agents[n].iterations for n in self._agents}
+
+    # -- what the system has learned ------------------------------------
+
+    def snapshot(self) -> dict:
+        """The plan, the causal graph, the opponent model, and the last
+        episode's log, from which the next ``pre_game`` learns."""
+        return {
+            "episode_counter": self.episode_counter,
+            "tactics": list(self.tactics.lines) if self.tactics else None,
+            "causal_graph": self.graph.to_json(),
+            "opponent_tactics": list(self.opponent_tactics.lines),
+            "log": self._log.to_json(),
+        }
+
+    def restore(self, snapshot: dict) -> None:
+        self.episode_counter = snapshot["episode_counter"]
+        self.tactics = Tactics(list(snapshot["tactics"])) if snapshot["tactics"] else None
+        self.graph = CausalGraph.from_json(snapshot["causal_graph"])
+        self.opponent_tactics = OpponentTactics(list(snapshot["opponent_tactics"]))
+        self._log = TeamLog.from_json(snapshot["log"])

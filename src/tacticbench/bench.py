@@ -20,14 +20,7 @@ from typing import Callable, Iterator, Optional
 
 import yaml
 
-from .agents import (
-    CoTTeamSystem,
-    HttpChatClient,
-    TactiCrafterSystem,
-    checkpoint_load,
-    checkpoint_save,
-    make_mock_client,
-)
+from .agents import CoTTeamSystem, HttpChatClient, TactiCrafterSystem, make_mock_client
 from .metrics import MetricValues, MetricsReport, mean_values, metric_values, report_from_rows
 from .opponents import BuiltinTeamSystem, RandomTeamSystem, builtin, list_builtin, script_text
 from .runner import EpisodeResult, run_episode
@@ -363,18 +356,22 @@ def run_benchmark(config: RunConfig, folder_name: Optional[str] = None) -> Bench
 
 
 def _evaluate(
-    config: RunConfig, scenario_config: ScenarioConfig, red: TeamSystem,
+    config: RunConfig, scenario_config: ScenarioConfig, snapshot,
     opponent: str, sigma: float, label: str, repeat: int = 0,
 ) -> MetricValues:
-    """One episode of ``red`` against the builtin ``opponent``, seeded by
-    ``label``, with its model calls dropped."""
-    blue = BuiltinTeamSystem(builtin(opponent, scenario_config.name))
+    """One episode of a fresh red system restored from ``snapshot`` against
+    the builtin ``opponent``, seeded by ``label``, with its model calls
+    dropped; no evaluation carries into another."""
+    scenario = scenario_config.name
+    red = make_system(config.red_system, scenario, config.client.build, config.seed)
+    red.restore(snapshot)
+    blue = BuiltinTeamSystem(builtin(opponent, scenario))
     ((_, result, _),) = play(scenario_config, red, blue, config.seed, label, repeat)
     return metric_values([result.reported["red"]], [result.reported["blue"]], sigma)
 
 
 def adaptation_protocol(config: RunConfig, episodes_per_opponent: Optional[int] = None) -> dict:
-    """Train vs each opponent, checkpoint, then evaluate the checkpoint for
+    """Train vs each opponent, snapshot, then evaluate the snapshot for
     one episode against every opponent; aggregate Same vs Different cells,
     each with its ``n_episodes`` (a cell with none is null)."""
     train_n = episodes_per_opponent or config.episodes
@@ -391,10 +388,9 @@ def adaptation_protocol(config: RunConfig, episodes_per_opponent: Optional[int] 
                 training = play(scenario_config, red, blue, config.seed, f"adapt:{trained_on}", repeat, train_n)
                 for _ in training:
                     pass
-                checkpoint = checkpoint_save(red) if isinstance(red, TactiCrafterSystem) else None
+                snapshot = red.snapshot()
                 for evaluated_on in opponents:
-                    evaluator = red if checkpoint is None else checkpoint_load(checkpoint, config.client.build())
-                    values = _evaluate(config, scenario_config, evaluator, evaluated_on, sigmas[evaluated_on],
+                    values = _evaluate(config, scenario_config, snapshot, evaluated_on, sigmas[evaluated_on],
                                        f"adapt-eval:{trained_on}:{evaluated_on}", repeat)
                     cells[scenario]["Same" if evaluated_on == trained_on else "Different"].append(values)
     cells["Avg"] = {
@@ -420,8 +416,8 @@ def self_play_protocol(
     total_episodes: int = 20,
     checkpoint_every: int = 5,
 ) -> dict:
-    """Self-play with periodic checkpoints, each evaluated one episode
-    against every built-in opponent."""
+    """Self-play with a snapshot of red every ``checkpoint_every``
+    episodes, each evaluated one episode against every built-in opponent."""
     out: dict[str, dict] = {}
     for scenario in config.scenarios:
         scenario_config = get_scenario(scenario)
@@ -430,19 +426,19 @@ def self_play_protocol(
         red = make_system(config.red_system, scenario, config.client.build, config.seed)
         blue = make_system(config.red_system, scenario, config.client.build, config.seed + 1)
         scores = {"red": [], "blue": []}
-        checkpoints: list[tuple[int, object]] = []
+        snapshots = []
         plays = play(scenario_config, red, blue, config.seed, "selfplay", 0, total_episodes)
         for episode, result, _ in plays:
             scores["red"].append(result.reported["red"])
             scores["blue"].append(result.reported["blue"])
-            if (episode + 1) % checkpoint_every == 0 and isinstance(red, TactiCrafterSystem):
-                checkpoints.append((episode + 1, checkpoint_save(red)))
+            if (episode + 1) % checkpoint_every == 0:
+                snapshots.append((episode + 1, red.snapshot()))
         evaluations = []
-        for after, checkpoint in checkpoints:
+        for after, snapshot in snapshots:
             results = [
                 {"opponent": opponent, **dataclasses.asdict(_evaluate(
-                    config, scenario_config, checkpoint_load(checkpoint, config.client.build()),
-                    opponent, sigmas[opponent], f"selfplay-eval:{after}:{opponent}",
+                    config, scenario_config, snapshot, opponent, sigmas[opponent],
+                    f"selfplay-eval:{after}:{opponent}",
                 ))}
                 for opponent in opponents
             ]

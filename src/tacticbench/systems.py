@@ -13,7 +13,7 @@ static metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Protocol
+from typing import Any, Callable, Optional, Protocol
 
 from .actionlang import ActionProgram, ExecState, PrimitiveTable, Request, WaitRequest, step
 # bound here for perfbench/layers.py, which traces it by module
@@ -151,6 +151,16 @@ class ScriptTeam:
 
     def post_game(self, score: EpisodeScore) -> None:
         pass
+
+    def snapshot(self) -> Any:
+        """What the system has learned so far, as plain JSON-able data that
+        shares nothing with the system; None for a system that learns
+        nothing."""
+        return None
+
+    def restore(self, snapshot: Any) -> None:
+        """Load a ``snapshot`` into this fresh system, so it plays on as the
+        system that took it would.  A system that learns nothing stays fresh."""
 
 
 def _serve(state: ExecState, view: AgentView) -> Optional[Request]:

@@ -1,8 +1,9 @@
 """Model-driven pipeline: log dedup, causal graphs, tactics, clients,
-checkpoints, and the baselines."""
+snapshots, and the baselines."""
 from __future__ import annotations
 
 import itertools
+import json
 import re
 import string
 from pathlib import Path
@@ -15,12 +16,10 @@ from hypothesis import strategies as st
 
 from tacticbench.actionlang import parse_source
 from tacticbench.agents import tacticrafter
-from tacticbench.agents.tacticrafter import CHECKPOINT_VERSION
 from tacticbench.agents import (
     CausalGraph,
     CausalParseError,
     CausalRelation,
-    Checkpoint,
     ChatCompletionRequest,
     ChatMessage,
     CoTTeamSystem,
@@ -35,8 +34,6 @@ from tacticbench.agents import (
     TagParseError,
     TeamLog,
     TransportError,
-    checkpoint_load,
-    checkpoint_save,
     compile_program,
     cot_baseline,
     dedup_events,
@@ -496,53 +493,70 @@ def test_http_client_does_not_retry_malformed_bodies(body):
     assert client.calls == []
 
 
-# -- checkpoints ----------------------------------------------------------------------
+# -- snapshots -------------------------------------------------------------------------
 
 
-CHECKPOINT_BLOB = """{
-  "causal_graph": [
-    {
-      "action": "a()",
-      "causes": [
-        "p"
-      ],
-      "effects": [
-        "x"
-      ]
-    }
-  ],
-  "episode_counter": 4,
-  "opponent_tactics": [
-    "they rush"
-  ],
-  "tactics": [
-    "harvest fast",
-    "guard the slime"
-  ],
-  "version": 1
-}"""
+SNAPSHOT = {
+    "causal_graph": [{"action": "a()", "causes": ["p"], "effects": ["x"]}],
+    "episode_counter": 4,
+    "log": [[3, "Ryn", "Mined slime_block"], [9, "Vex", "Placed slime_block at (2, 5)"]],
+    "opponent_tactics": ["they rush"],
+    "tactics": ["harvest fast", "guard the slime"],
+}
 
 
-def test_checkpoint_save_load_save_is_lossless():
+def test_snapshot_restore_snapshot_is_lossless():
     client = make_mock_client()
     system = TactiCrafterSystem(client)
     system.tactics = Tactics(["harvest fast", "guard the slime"])
     system.graph = _build_graph([CausalRelation("a()", ("p",), ("x",))])
     system.opponent_tactics = OpponentTactics(["they rush"])
     system.episode_counter = 4
-    blob = checkpoint_save(system).to_json()
-    assert blob == CHECKPOINT_BLOB
-    restored = checkpoint_load(Checkpoint.from_json(blob), client)
-    assert checkpoint_save(restored).to_json() == blob
+    system._log = TeamLog.from_json(SNAPSHOT["log"])
+    snapshot = system.snapshot()
+    assert snapshot == SNAPSHOT
+    restored = TactiCrafterSystem(client)
+    restored.restore(json.loads(json.dumps(snapshot)))
+    assert restored.snapshot() == snapshot
     assert restored.tactics.lines == system.tactics.lines
     assert restored.graph.relations == system.graph.relations
+    assert restored._log.events == system._log.events
 
 
-def test_checkpoint_version_mismatch_rejected():
-    blob = checkpoint_save(TactiCrafterSystem(make_mock_client())).to_json()
-    tampered = blob.replace('"version": 1', '"version": 2')
-    with pytest.raises(ValueError):
-        Checkpoint.from_json(tampered)
+def test_a_snapshot_shares_nothing_with_the_system():
+    system = TactiCrafterSystem(make_mock_client())
+    _short_episode(system, ticks=600)
+    snapshot = system.snapshot()
+    frozen = json.dumps(snapshot)
+    _short_episode(system, ticks=600, seed=3)
+    assert json.dumps(snapshot) == frozen != json.dumps(system.snapshot())
+
+
+@pytest.mark.parametrize("make", [TactiCrafterSystem, CoTTeamSystem], ids=["tacticrafter", "cot"])
+def test_a_restored_system_plays_on_as_the_system_that_kept_playing(make):
+    """The snapshot after one episode carries that episode's lesson: a fresh
+    system restored from it (through JSON) sends the same prompts and
+    scores the same in the next episode as the system that kept playing."""
+    config = get_scenario("mushroom_war")
+
+    def play(system, seed):
+        blue = BuiltinTeamSystem(builtin("slimy", "mushroom_war"))
+        return run_episode(config, {"red": system, "blue": blue}, seed)
+
+    kept = make(make_mock_client())
+    play(kept, 11)
+    restored = make(make_mock_client())
+    restored.restore(json.loads(json.dumps(kept.snapshot())))
+    kept.client.calls.clear()
+    scores = [play(system, 12).scores for system in (kept, restored)]
+    calls = [[(c.purpose, c.request_text) for c in s.client.calls] for s in (kept, restored)]
+    assert calls[0] == calls[1]
+    assert scores[0] == scores[1]
+    purposes = {purpose for purpose, _ in calls[1]}
+    if make is TactiCrafterSystem:
+        assert {"causal", "opponent", "tactics"} <= purposes  # the pending update ran
+    else:
+        assert "Previous code:" in calls[1][0][1]
 
 
 # -- pipeline odds and ends -------------------------------------------------------------
@@ -731,12 +745,12 @@ def test_each_episode_prompts_with_the_texts_its_pre_game_produced():
     assert [t for t, _ in produced] == ["plan number 1", "plan number 2", "plan number 3"]
 
 
-def test_restored_system_plans_with_the_checkpoint_tactics_and_graph():
+def test_restored_system_plans_with_the_snapshot_tactics_and_graph():
     client = make_mock_client()
     relation = {"action": 'mineBlock("slime_block", 1)', "causes": [], "effects": ["slime_block"]}
-    checkpoint = Checkpoint(CHECKPOINT_VERSION, 3, ["Ryn guards the slime", "Raze mines"],
-                            [relation], ["they rush"])
-    system = checkpoint_load(checkpoint, client)
+    system = TactiCrafterSystem(client)
+    system.restore({"episode_counter": 3, "tactics": ["Ryn guards the slime", "Raze mines"],
+                    "causal_graph": [relation], "opponent_tactics": ["they rush"], "log": []})
     _short_episode(system, ticks=600)
     first_program = next(c.request_text for c in client.calls if c.purpose == "program")
     graph = CausalGraph.from_json([relation]).serialize()

@@ -362,11 +362,11 @@ PROTOCOL_PINS = {
     "tacticrafter": ("e1456a1d19fcca50cd1c2da37e8ea6489c072a768b0fc138c363120e70ab3f5a",
                      "7ca7f3acae33f7aedfc7516802e1aa9008cc7521c80f6816e5f85943206f9d78"),
     "cot": ("d44b1f61a01e3bcd278917c21b777057482313d2bafc417a6238f2f4c9c6dbf5",
-            "a928d010ff90c12ae4fec885a73730be8985f5d51e25fb4633d159b768058e16"),
-    "random": ("49f632dbac1619e6ff6383ac486b6f7e970e9fc625b31d15444093bd603f899f",
-               "745907f7e1405b9b305c01c51ee285c4a30fa6302ea34b28001b5c715eb8bd71"),
+            "b3a62f5493283ea971520d67395ec3a9a14788942da1d0201a083cc8c117a1fd"),
+    "random": ("533096425b527dc8f4b9ebdcbf61489762276bc48e0fc482ccf1e8efdeb7f4c7",
+               "8b154977f80f2487d075f306315d912fc510476cae2e4b62b4636c2e2cce96df"),
     "builtin:passive": ("4cfaabfe8e2ad02e88f82f861dfd1f618dd1dccbdf6d45a024bab367db72ff97",
-                        "bdbf53d8cc988eee4b8694d1224701ebbc96fb0b297d1946960e59037d322929"),
+                        "c57081c645f677e604477525410559ba315cf3a9902197deb07f6ae54e1c681f"),
 }
 
 
@@ -390,6 +390,57 @@ def test_adapt_with_one_opponent_leaves_different_cells_unmeasured():
         assert row["Different"] == {"P": None, "S": None, "D": None, "W": None, "n_episodes": 0}
         assert row["Same"]["n_episodes"] == 1
         assert all(isinstance(row["Same"][m], float) for m in "PSDW")
+
+
+ORDERS = (["do_nothing", "passive"], ["passive", "do_nothing"])
+
+
+def test_adapt_table_does_not_depend_on_the_opponent_order():
+    tables = [bench.adaptation_protocol(RunConfig(
+        scenarios=["mushroom_war"], opponents=order, episodes=1, repeats=1, seed=3,
+        red_system="random")) for order in ORDERS]
+    assert tables[0] == tables[1]
+
+
+def test_every_cot_evaluation_starts_from_the_training_episode(monkeypatch):
+    """Each adapt evaluation writes its prompt from the history of the
+    training episode, not of the evaluation played before it."""
+    labels = {bench.episode_seed(3, "mushroom_war", label, 0, 0): label
+              for trained in ORDERS[0]
+              for label in [f"adapt:{trained}"] + [f"adapt-eval:{trained}:{e}" for e in ORDERS[0]]}
+    histories: dict[str, str] = {}
+    real = bench.run_episode
+
+    def recording(scenario_config, systems, seed):
+        result = real(scenario_config, systems, seed)
+        prompt = next(c.request_text for c in systems["red"].client.calls if c.purpose == "cot")
+        history = prompt.split("the chat log:\n", 1)[1].split("\n\nThink step by step", 1)[0]
+        histories[labels[seed]] = history
+        return result
+
+    monkeypatch.setattr(bench, "run_episode", recording)
+    monkeypatch.setattr(bench, "calibrate_sigma", lambda *args, **kwargs: 0.0)
+    runs = []
+    for order in ORDERS:
+        histories.clear()
+        bench.adaptation_protocol(RunConfig(scenarios=["mushroom_war"], opponents=order,
+                                            episodes=1, repeats=1, seed=3, red_system="cot"))
+        runs.append(dict(histories))
+    assert runs[0] == runs[1]
+    for trained in ORDERS[0]:
+        assert runs[0][f"adapt:{trained}"] == "(first episode)"
+        evaluations = {runs[0][f"adapt-eval:{trained}:{e}"] for e in ORDERS[0]}
+        assert len(evaluations) == 1 and "Previous code:" in evaluations.pop()
+
+
+@pytest.mark.parametrize("red", ["cot", "random", "builtin:passive"])
+def test_selfplay_evaluates_every_red_kind(red):
+    config = RunConfig(scenarios=["mushroom_war"], opponents=["passive"],
+                       episodes=1, repeats=1, seed=3, red_system=red)
+    out = bench.self_play_protocol(config, total_episodes=2, checkpoint_every=1)
+    evaluations = out["mushroom_war"]["evaluations"]
+    assert [e["after_episode"] for e in evaluations] == [1, 2]
+    assert [r["opponent"] for e in evaluations for r in e["results"]] == ["passive"] * 2
 
 
 def test_protocols_keep_no_model_calls_between_episodes(monkeypatch):

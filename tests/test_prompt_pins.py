@@ -13,14 +13,11 @@ import itertools
 import pytest
 
 from tacticbench.agents import (
-    Checkpoint,
     CoTTeamSystem,
     MockChatClient,
     TactiCrafterSystem,
-    checkpoint_load,
     default_mock_responder,
 )
-from tacticbench.agents.tacticrafter import CHECKPOINT_VERSION
 from tacticbench.opponents import BuiltinTeamSystem, builtin
 from tacticbench.runner import run_episode
 from tacticbench.scenarios import get_scenario
@@ -51,9 +48,12 @@ def _flip_flop_responder():
 
 
 def _resumed_without_tactics(client) -> TactiCrafterSystem:
-    """A system restored from a checkpoint taken after an episode whose
+    """A system restored from a snapshot taken after an episode whose
     tactics were never set, so its first update has no tactics to revise."""
-    return checkpoint_load(Checkpoint(CHECKPOINT_VERSION, 1, None, [], []), client)
+    system = TactiCrafterSystem(client)
+    system.restore({"episode_counter": 1, "tactics": None, "causal_graph": [],
+                    "opponent_tactics": [], "log": []})
+    return system
 
 
 # case -> (system factory, responder factory, scenario, opponent, episodes)

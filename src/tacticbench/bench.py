@@ -98,8 +98,7 @@ class RunConfig:
         return cls.from_dict(data)
 
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        return out
+        return dataclasses.asdict(self)
 
     def opponents_for(self, scenario: str) -> list[str]:
         return list(self.opponents) if self.opponents else list(list_builtin(scenario))

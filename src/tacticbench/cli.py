@@ -3,8 +3,8 @@
 Verbs:
   run        full benchmark from a config file (or defaults)
   calibrate  baseline sigma for a scenario/opponent pair
-  adapt      same-vs-different opponent adaptation protocol
-  selfplay   self-play with periodic checkpoint evaluations
+  adapt      same-vs-different opponent adaptation protocol (prints JSON)
+  selfplay   self-play with periodic snapshot evaluations (prints JSON)
   replay     re-run one recorded episode and verify its record
   export     regenerate CSV artifacts from an existing run folder
   opponents  list built-in opponent names per scenario
@@ -34,17 +34,13 @@ from .scenarios import SCENARIO_NAMES, get_scenario
 
 
 def _load_config(args) -> RunConfig:
-    if args.config:
-        config = RunConfig.from_yaml(args.config)
-    else:
-        config = RunConfig()
-    if args.output_dir:
-        config.output_dir = args.output_dir
-    return config
+    return RunConfig.from_yaml(args.config) if args.config else RunConfig()
 
 
 def _cmd_run(args) -> int:
     config = _load_config(args)
+    if args.output_dir:
+        config.output_dir = args.output_dir
     out = run_benchmark(config)
     print(f"run folder: {out.run_dir}")
     for m in out.report.matchups:
@@ -134,14 +130,12 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--cache", help="calibration cache file")
     p.set_defaults(func=_cmd_calibrate)
 
-    p = sub.add_parser("adapt", help="adaptation protocol")
+    p = sub.add_parser("adapt", help="adaptation protocol; prints its table as JSON")
     p.add_argument("--config", help="run config YAML")
-    p.add_argument("--output-dir", help="override output directory")
     p.set_defaults(func=_cmd_adapt)
 
-    p = sub.add_parser("selfplay", help="self-play protocol")
+    p = sub.add_parser("selfplay", help="self-play protocol; prints its evaluations as JSON")
     p.add_argument("--config", help="run config YAML")
-    p.add_argument("--output-dir", help="override output directory")
     p.add_argument("--episodes", type=int, default=20)
     p.add_argument("--checkpoint-every", type=int, default=5)
     p.set_defaults(func=_cmd_selfplay)

@@ -10,6 +10,7 @@ Outputs per run folder:
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 from collections import defaultdict
@@ -36,28 +37,13 @@ def write_matchup_matrix(path: Path, report: MetricsReport) -> None:
 def write_metrics_summary(run_dir: Path, report: MetricsReport) -> None:
     data = {
         "matchups": [
-            {
-                "scenario": m.scenario,
-                "red": m.red,
-                "blue": m.blue,
-                "n_episodes": m.values.n_episodes,
-                "P": m.values.P,
-                "S": m.values.S,
-                "D": m.values.D,
-                "W": m.values.W,
-            }
+            {"scenario": m.scenario, "red": m.red, "blue": m.blue, **dataclasses.asdict(m.values)}
             for m in report.matchups
         ],
     }
     aggregate = report.aggregate()
     if aggregate is not None:
-        data["aggregate"] = {
-            "P": aggregate.P,
-            "S": aggregate.S,
-            "D": aggregate.D,
-            "W": aggregate.W,
-            "n_episodes": aggregate.n_episodes,
-        }
+        data["aggregate"] = dataclasses.asdict(aggregate)
     (run_dir / "metrics_summary.json").write_text(json.dumps(data, indent=2, sort_keys=True))
     write_matchup_matrix(run_dir / "metrics_summary.csv", report)
 

@@ -67,10 +67,9 @@ class MetricsReport:
 
 
 def mean_values(values: Sequence[MetricValues]) -> MetricValues:
-    """Field-wise mean of ``values``, with ``n_episodes`` their total; no
-    values give all zeros."""
-    if not values:
-        return MetricValues(P=0.0, S=0.0, D=0.0, W=0.0, n_episodes=0)
+    """Field-wise mean of ``values``, with ``n_episodes`` their total.  No
+    values raise ``statistics.StatisticsError``: an unmeasured mean is not
+    a zero."""
     return MetricValues(
         P=mean(v.P for v in values),
         S=mean(v.S for v in values),

@@ -1,5 +1,6 @@
-"""Model-driven team systems: the tactics/causal/opponent pipeline, the
-chain-of-thought baseline, event-log compaction, and chat clients."""
+"""Model-driven team systems on one base, ``ModelTeam``: the tactics/causal/
+opponent pipeline, the chain-of-thought baseline, event-log compaction,
+and chat clients."""
 from .causal import CausalGraph, CausalParseError, CausalRelation, parse_relation_line
 from .client import (
     ChatCompletionRequest,
@@ -8,12 +9,13 @@ from .client import (
     MockChatClient,
     TransportError,
 )
-from .cot import CoTTeamSystem, cot_baseline
+from .cot import CoTTeamSystem
 from .dedup import DedupMemo, dedup_events
 from .mock import default_mock_responder, make_mock_client
 from .tacticrafter import (
     FALLBACK_TACTICS_LINE,
     MAX_TACTICS_LINES,
+    ModelTeam,
     OpponentTactics,
     PromptTemplates,
     Tactics,

@@ -7,7 +7,6 @@ a full benchmark can run without any model endpoint.
 from __future__ import annotations
 
 import re
-from typing import Optional
 
 from .client import MockChatClient
 
@@ -89,9 +88,5 @@ def default_mock_responder(purpose: str, prompt: str) -> str:
     return ""
 
 
-def make_mock_client(
-    latency: float = 0.0, token_count: Optional[int] = None
-) -> MockChatClient:
-    return MockChatClient(
-        responder=default_mock_responder, latency=latency, token_count=token_count
-    )
+def make_mock_client(latency: float = 0.0) -> MockChatClient:
+    return MockChatClient(responder=default_mock_responder, latency=latency)

@@ -1,4 +1,5 @@
-"""The tactics/causal/opponent-model agent pipeline and its team system.
+"""The tactics/causal/opponent-model agent pipeline, its team system, and
+``ModelTeam``, the base of both model-driven team systems.
 
 Flow per matchup: on the first episode the system asks the model for an
 initial team plan and an initial causal model; before every later episode
@@ -282,7 +283,43 @@ def ensure_primitive_coverage(graph: CausalGraph, table) -> CausalGraph:
     return graph
 
 
-# -- the team system ---------------------------------------------------------
+# -- the team systems --------------------------------------------------------
+
+
+class ModelTeam(ScriptTeam):
+    """Base of the team systems that ask a chat model for their programs:
+    the ``client``, the ``templates``, the episode's game slots ``_slots``
+    that every prompt fills from, the team's chat log ``_log``, which
+    ``next_request`` extends before it polls, and ``_ask``, the one
+    ask-and-parse step.  A subclass's ``pre_game`` sets ``_slots``,
+    ``drivers`` and a fresh ``TeamLog`` of the team's agents."""
+
+    def __init__(self, client: ChatClient) -> None:
+        super().__init__()
+        self.client = client
+        self.templates = PromptTemplates()
+        self._slots: dict[str, str] = {}
+        self._log = TeamLog()  # the current episode's, or else the last one's
+
+    def next_request(self, agent_name: str, view: AgentView) -> Optional[Request]:
+        self._log.extend(agent_name, view.new_events)
+        return super().next_request(agent_name, view)
+
+    def _ask(
+        self, purpose: str, template: str, parse: Callable[[str], T], tries: int = 2, **slots
+    ) -> Optional[T]:
+        """Fill ``template`` once and ask the model up to ``tries`` times.
+        Returns the first answer that ``parse`` reads without a
+        ``TagParseError`` into something non-empty, or None."""
+        prompt = self.templates.fill(template, **self._slots, **slots)
+        for _ in range(tries):
+            try:
+                answer = parse(_chat(self.client, purpose, prompt).text)
+            except TagParseError:
+                continue
+            if answer:
+                return answer
+        return None
 
 
 class _BaseAgent:
@@ -300,23 +337,20 @@ class _BaseAgent:
         self.dedup_memo = DedupMemo()  # lets each regeneration redo only what new lines change
 
 
-class TactiCrafterSystem(ScriptTeam):
+class TactiCrafterSystem(ModelTeam):
     """Persistent team system wrapping the full agent pipeline."""
 
+    # a class attribute so that perfbench/layers.py can trace this class's polls
+    next_request = ModelTeam.next_request
+
     def __init__(self, client: ChatClient) -> None:
-        super().__init__()
-        self.client = client
-        self.templates = PromptTemplates()
+        super().__init__(client)
         self.episode_counter = 0
         self.tactics: Optional[Tactics] = None
         self.graph = CausalGraph()
         self.opponent_tactics = OpponentTactics()
         self._agents: dict[str, _BaseAgent] = {}
-        # game_slots of the current episode; from the end of pre_game on,
-        # also its tactics and causal graph text
-        self._slots: dict[str, str] = {}
         self._meta: Optional[ScenarioMetadata] = None
-        self._log = TeamLog()  # the current episode's, or else the last one's
         self.idle_ticks_charged = 0
         self.iteration_counts: dict[str, int] = {}
 
@@ -324,6 +358,7 @@ class TactiCrafterSystem(ScriptTeam):
 
     def pre_game(self, metadata: ScenarioMetadata, team_id: str, initial_obs) -> None:
         self._meta = metadata
+        # from the end of pre_game on, also the tactics and causal graph text
         self._slots = game_slots(metadata, team_id)
         self.episode_counter += 1
         if self.episode_counter == 1 and self.tactics is None:
@@ -380,22 +415,6 @@ class TactiCrafterSystem(ScriptTeam):
         for agent in self._agents.values():
             agent.driver.load(self._generate_program(agent, charge_latency=False))
 
-    def _ask(
-        self, purpose: str, template: str, parse: Callable[[str], T], tries: int = 2, **slots
-    ) -> Optional[T]:
-        """Fill ``template`` once and ask the model up to ``tries`` times.
-        Returns the first answer that ``parse`` reads without a
-        ``TagParseError`` into something non-empty, or None."""
-        prompt = self.templates.fill(template, **self._slots, **slots)
-        for _ in range(tries):
-            try:
-                answer = parse(_chat(self.client, purpose, prompt).text)
-            except TagParseError:
-                continue
-            if answer:
-                return answer
-        return None
-
     def _program_prompt(self, agent: _BaseAgent) -> str:
         return self.templates.fill(
             "p_f",
@@ -407,6 +426,10 @@ class TactiCrafterSystem(ScriptTeam):
         )
 
     def _generate_program(self, agent: _BaseAgent, charge_latency: bool) -> ActionProgram:
+        """Ask up to twice for ``agent``'s next program.  Not through
+        ``_ask``: parse failures count across calls and bench the agent
+        at ``MAX_PARSE_FAILURES``, and a regeneration charges the last
+        answer's latency as idle ticks."""
         prompt = self._program_prompt(agent)
         latency = 0.0
         program: Optional[ActionProgram] = None
@@ -449,21 +472,17 @@ class TactiCrafterSystem(ScriptTeam):
             "position": obs.self_status.get("position"),
             "inventory": obs.inventory.as_dict(),
         }
-        prompt = self.templates.fill(
+        agent.critique = self._ask(
+            "critic",
             "p_g",
-            **self._slots,
+            str.strip,
+            tries=1,
             agent_name=agent.name,
             status_report="\n".join(f"{k}: {v}" for k, v in status.items()),
             error=agent.driver.error_message or "(completed without error)",
-        )
-        resp = _chat(self.client, "critic", prompt)
-        agent.critique = resp.text.strip()
+        ) or ""
 
     # -- game phase ---------------------------------------------------
-
-    def next_request(self, agent_name: str, view: AgentView) -> Optional[Request]:
-        self._log.extend(agent_name, view.new_events)
-        return super().next_request(agent_name, view)
 
     def next_program(self, agent_name: str, view: AgentView) -> Optional[ActionProgram]:
         agent = self._agents[agent_name]

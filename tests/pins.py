@@ -6,9 +6,10 @@ in ``perfbench/golden.json``, which stays perfbench's own file.
 
 ``python tests/pins.py`` recomputes every family, rewrites the table,
 re-records ``perfbench/golden.json`` with ``perfbench/run.py
---record-golden``, and prints one ``family/key: old → new`` line per moved
-value; a golden line is ``golden/<workload>/<seed>``, shown as the sha256
-of its entry."""
+--record-golden``, and prints one ``family/key: old → new`` line per value
+that differs from the last commit's (``git show HEAD:``), so a run stopped
+part way and run again still reports every move; a golden line is
+``golden/<workload>/<seed>``, shown as the sha256 of its entry."""
 from __future__ import annotations
 
 import hashlib
@@ -184,19 +185,26 @@ def moved(old: Mapping[str, object], new: Mapping[str, object]) -> list[str]:
             if name not in old or name not in new or old[name] != new[name]]
 
 
-def _named(table: dict) -> dict:
-    """Every value of ``table`` by ``family/key``, and every golden.json line
-    by ``golden/<workload>/<seed>`` as the sha256 of its entry."""
+def _committed(path: Path) -> dict:
+    """The JSON file at ``path`` as the checkout's last commit has it."""
+    name = path.relative_to(ROOT).as_posix()
+    return json.loads(subprocess.run(["git", "show", f"HEAD:{name}"], cwd=ROOT,
+                                     capture_output=True, text=True, check=True).stdout)
+
+
+def _named(table: dict, golden: dict) -> dict:
+    """Every value of ``table`` by ``family/key``, and every line of
+    ``golden`` by ``golden/<workload>/<seed>`` as the sha256 of its entry."""
     named = {f"{family}/{key}": value for family, values in table.items()
              for key, value in values.items()}
-    for workload, entries in json.loads(GOLDEN.read_text()).items():
+    for workload, entries in golden.items():
         for seed, entry in entries.items():
             named[f"golden/{workload}/{seed}"] = _sha(json.dumps(entry, sort_keys=True))
     return named
 
 
 def main() -> int:
-    old = _named(load())
+    old = _named(_committed(TABLE), _committed(GOLDEN))
     table = {family: {key: compute(key) for key in keys}
              for family, (keys, compute) in FAMILIES.items()}
     golden = subprocess.run([sys.executable, str(GOLDEN.parent / "run.py"), "--record-golden"],
@@ -205,7 +213,7 @@ def main() -> int:
         sys.stderr.write(golden.stdout + golden.stderr)
         return golden.returncode
     write(table)
-    for line in moved(old, _named(table)):
+    for line in moved(old, _named(table, json.loads(GOLDEN.read_text()))):
         print(line)
     return 0
 

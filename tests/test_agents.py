@@ -35,7 +35,6 @@ from tacticbench.agents import (
     TeamLog,
     TransportError,
     compile_program,
-    cot_baseline,
     dedup_events,
     default_mock_responder,
     ensure_primitive_coverage,
@@ -586,23 +585,26 @@ def test_ensure_primitive_coverage_stubs_missing_actions():
     assert heads == set(table.available)
 
 
-def test_cot_baseline_pads_missing_programs_with_none():
-    table = get_scenario("mushroom_war").primitive_table
-    client = MockChatClient(
-        responder=lambda p, t: '<program>\nmineBlock("slime_block", 1)\n</program>'
-    )
-    programs = cot_baseline(client, "prompt", 2, table)
-    assert programs[0] is not None and programs[1] is None
-
-
-def test_cot_baseline_rejects_invalid_programs():
-    table = get_scenario("mushroom_war").primitive_table
-    client = MockChatClient(
-        responder=lambda p, t: "<program>\ncraftItem(\"bread\", 1)\n</program>"
-        "<program>\nbroken(\n</program>"
-    )
-    programs = cot_baseline(client, "prompt", 2, table)
-    assert programs == [None, None]
+@pytest.mark.parametrize(
+    "answer, running",
+    [
+        ('<program>\nmineBlock("slime_block", 1)\n</program>', [True, False]),
+        ('<program>\ncraftItem("bread", 1)\n</program><program>\nbroken(\n</program>',
+         [False, False]),
+        ("no tags at all", [False, False]),
+    ],
+    ids=["one-program", "invalid-and-unparsable", "no-tags"],
+)
+def test_cot_pre_game_runs_each_valid_program_and_leaves_the_rest_idle(answer, running):
+    """One p_h call; an agent whose block is missing, does not parse or
+    fails validation gets no program (the wait loop at its first poll)."""
+    metadata = build_metadata(get_scenario("mushroom_war"))
+    client = MockChatClient(responder=lambda purpose, prompt: answer)
+    system = CoTTeamSystem(client)
+    system.pre_game(metadata, "red", {})
+    assert [c.purpose for c in client.calls] == ["cot"]
+    agents = metadata.teams["red"]
+    assert [system.drivers[a].status == "running" for a in agents] == running
 
 
 # -- full-system integration --------------------------------------------------------------
@@ -713,6 +715,23 @@ def test_tacticrafter_regenerates_once_per_poll_when_programs_end_without_a_requ
         assert system.iteration_counts[name] == len(ticks) + 1  # plus the pre-game one
 
 
+def test_a_blank_critique_reads_none_in_the_next_program_prompt():
+    """A critic that answers only whitespace gives no critique: the
+    regeneration it precedes shows ``(none)``, as the first program does."""
+    client = MockChatClient(
+        responder=lambda p, t: " \n\t " if p == "critic" else default_mock_responder(p, t)
+    )
+    _short_episode(TactiCrafterSystem(client), ticks=1200)
+    purposes = [c.purpose for c in client.calls]
+    regenerations = [
+        call.request_text for previous, call in zip(client.calls, client.calls[1:])
+        if previous.purpose == "critic" and call.purpose == "program"
+    ]
+    assert regenerations and len(regenerations) == purposes.count("critic")
+    for prompt in regenerations:
+        assert "Critique of the previous attempt:\n(none)\n" in prompt
+
+
 def test_each_episode_prompts_with_the_texts_its_pre_game_produced():
     plans, relations = itertools.count(1), itertools.count(1)
 
@@ -777,19 +796,13 @@ def test_cot_system_plays_and_scores():
     assert [c.purpose for c in client.calls] == ["cot"]
 
 
-def test_cot_remembers_each_chat_line_once():
-    system = CoTTeamSystem(make_mock_client())
+@pytest.mark.parametrize("make", [TactiCrafterSystem, CoTTeamSystem], ids=["tacticrafter", "cot"])
+def test_a_model_team_remembers_the_episode_as_one_prefix_of_the_chat_log(make):
+    system = make(make_mock_client())
     systems = {"red": system, "blue": BuiltinTeamSystem(builtin("berries", "dash_and_dine"))}
     result = run_episode(get_scenario("dash_and_dine", duration_ticks=600), systems, 2)
-    remembered = system._memory.log.events
-    # lines broadcast after the team's last turn are never shown to it
-    assert remembered and remembered == result.chat_log[: len(remembered)]
-
-
-def test_tacticrafter_remembers_the_episode_as_one_prefix_of_the_chat_log():
-    system = TactiCrafterSystem(make_mock_client())
-    result = _short_episode(system, scenario="dash_and_dine", ticks=600)
     remembered = system._log.events
+    # lines broadcast after the team's last turn are never shown to it
     assert remembered and remembered == result.chat_log[: len(remembered)]
     assert max(system._log.seen.values()) == len(remembered)
 
